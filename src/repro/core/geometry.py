@@ -53,22 +53,12 @@ class Box:
         return max(self.widths())
 
     # ----- scores --------------------------------------------------------
-    def _corner(self, lo_side: bool) -> list[float]:
-        out = []
-        for r in self.ranges:
-            if lo_side:
-                out.append(0.0 if r.lo is None else max(0.0, r.lo))
-            else:
-                out.append(1.0 if r.hi is None else min(1.0, r.hi))
-        return out
+    def _lo_corner(self) -> list[float]:
+        return [0.0 if r.lo is None else max(0.0, r.lo) for r in self.ranges]
 
     def min_score(self, weights: Mapping[str, float]) -> float:
         """Lowest achievable internal score inside the box (all w >= 0)."""
-        return sum(w * c for w, c in zip((weights[d] for d in self.dims), self._corner(True)))
-
-    def max_score(self, weights: Mapping[str, float]) -> float:
-        """Highest achievable internal score inside the box."""
-        return sum(w * c for w, c in zip((weights[d] for d in self.dims), self._corner(False)))
+        return sum(w * c for w, c in zip((weights[d] for d in self.dims), self._lo_corner()))
 
     # ----- transforms ----------------------------------------------------
     def split(self, dim_idx: int, at: float) -> tuple["Box", "Box"]:
@@ -98,7 +88,7 @@ class Box:
         MD-BASELINE narrowing step: the result is a single (broad) box.
         """
         w = {d: ranking.internal_weight(d) for d in self.dims}
-        lo_corner = self._corner(True)
+        lo_corner = self._lo_corner()
         total_lo = sum(w[d] * c for d, c in zip(self.dims, lo_corner))
         new_ranges = []
         for i, (d, r) in enumerate(zip(self.dims, self.ranges)):
@@ -120,30 +110,3 @@ class Box:
         for d, r in zip(self.dims, self.ranges):
             ranges[d] = ranking.attr_map(d).unit_range_to_raw(r)
         return QuerySpec(ranges)
-
-
-def contour_cover(box: Box, ranking: LinearRanking, s: float, *, max_boxes: int = 64) -> list[Box]:
-    """Cover ``box`` intersected with the half-space ``score <= s`` by boxes.
-
-    Recursive: a box entirely below the contour is kept whole; one entirely
-    above is dropped; otherwise split on the widest dimension. Used to seed
-    MD-BASELINE's broad covering queries.
-    """
-    w = {d: ranking.internal_weight(d) for d in box.dims}
-    out: list[Box] = []
-    stack = [box]
-    while stack:
-        b = stack.pop()
-        if b.is_empty():
-            continue
-        if b.min_score(w) > s:
-            continue
-        # stop splitting at the cap or at float resolution: a sliver
-        # straddling the contour would otherwise split into itself forever
-        # ((lo+hi)/2 == hi once the width underflows)
-        if b.max_score(w) <= s or b.max_width() <= 1e-9 or len(out) + len(stack) >= max_boxes:
-            out.append(b)
-            continue
-        left, right = b.split_widest()
-        stack.extend([b2 for b2 in (left, right) if not b2.is_empty()])
-    return out

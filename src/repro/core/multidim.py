@@ -24,7 +24,6 @@ tuple in the user's ranking.
 """
 from __future__ import annotations
 
-from abc import ABC
 from typing import Mapping, Optional
 
 from ..webdb.crawler import crawl
@@ -32,29 +31,15 @@ from ..webdb.interface import Row, WebDB
 from ..webdb.predicates import QuerySpec
 from ..webdb.ranking import LinearRanking
 from .dense_index import DenseIndex
+from .engine import GetNext
 from .geometry import Box
-from .onedim import MACHINE_EPS
-from .session import ContextMD, Session
+from .session import Session
 
 
-class MDBudgetExceeded(RuntimeError):
-    """Raised when an MD search exceeds its query budget; carries progress."""
-
-    def __init__(self, n_queries: int, best: Optional[Row]):
-        super().__init__(f"MD search exceeded budget after {n_queries} queries")
-        self.n_queries = n_queries
-        self.best = best
-
-
-class MDAlgorithm(ABC):
+class MDAlgorithm(GetNext):
     """Common box-queue frame for the three MD get-next algorithms."""
 
     name = "md"
-    #: overflowing boxes narrower than this are crawled; MACHINE_EPS means
-    #: "only as a termination guard" (BASELINE/BINARY), larger means
-    #: on-the-fly dense indexing (RERANK)
-    crawl_width = MACHINE_EPS
-    index_crawls = False
     #: when an iteration has a single live box, also issue its children
     #: speculatively in the same parallel batch (section II-B: "this may,
     #: sometimes, increase the number of queries issued to the web database")
@@ -68,9 +53,7 @@ class MDAlgorithm(ABC):
         dense_index: Optional[DenseIndex] = None,
         max_queries: Optional[int] = None,
     ):
-        self.db = db
-        self.bounds = dict(bounds)
-        self.dense_index = dense_index
+        super().__init__(db, bounds, dense_index=dense_index)
         self.max_queries = max_queries
 
     # ----- public primitive ---------------------------------------------
@@ -86,11 +69,7 @@ class MDAlgorithm(ABC):
         )
         queue: list[Box] = [Box.unit(ranking.attrs)]
         while queue:
-            if (
-                self.max_queries is not None
-                and self.db.stats.n_queries - budget_start > self.max_queries
-            ):
-                raise MDBudgetExceeded(self.db.stats.n_queries - budget_start, best)
+            self._check_budget(budget_start, best)
             best_s = None if best is None else ranking.internal_score(best)
             live = []
             for box in queue:
@@ -108,13 +87,7 @@ class MDAlgorithm(ABC):
             ready: list[tuple[Box, QuerySpec, list, bool]] = []
             for box in live:
                 spec = session.filter_spec.merged(box.to_spec(ranking))
-                hit = (
-                    self.dense_index.rows_matching(spec)
-                    if self.dense_index is not None
-                    else None
-                )
-                if hit is not None:
-                    session.absorb(hit)
+                if self._indexed(session, spec) is not None:
                     ctx.add(box)
                     continue
                 cached = session.query_cache.get(spec.to_sql())
@@ -147,10 +120,8 @@ class MDAlgorithm(ABC):
                     ctx.add(box)
                     continue
                 if box.max_width() <= self.crawl_width:
-                    res = crawl(self.db, spec, self.bounds)
-                    session.absorb(res.rows.values())
-                    if self.index_crawls and self.dense_index is not None:
-                        self.dense_index.add(spec, res.rows)
+                    # the crawl stays here under this module's ``crawl`` name, which perfbench traces
+                    self._store_crawl(session, spec, crawl(self.db, spec, self.bounds))
                     ctx.add(box)
                     continue
                 queue.extend(self._narrow(box, ranking, best_s))
@@ -160,16 +131,6 @@ class MDAlgorithm(ABC):
         if best is None:
             return None
         return session.deliver(best)
-
-    def get_top_h(self, session: Session, ranking: LinearRanking, h: int) -> list[Row]:
-        """Deliver the next ``h`` tuples (repeated get-next)."""
-        out = []
-        for _ in range(h):
-            r = self.get_next(session, ranking)
-            if r is None:
-                break
-            out.append(r)
-        return out
 
     # ----- per-algorithm narrowing ---------------------------------------
     def _narrow(self, box: Box, ranking: LinearRanking, best_s: Optional[float]) -> list[Box]:
@@ -215,12 +176,7 @@ class MDRerank(MDAlgorithm):
         delta: float = 0.05,
         max_queries: Optional[int] = None,
     ):
-        super().__init__(
-            db,
-            bounds,
-            dense_index=dense_index if dense_index is not None else DenseIndex(db.name),
-            max_queries=max_queries,
-        )
+        super().__init__(db, bounds, dense_index=dense_index, max_queries=max_queries)
         self.crawl_width = delta
 
 

@@ -27,42 +27,26 @@ is exhausted does it search ``(F, 1]``:
 """
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Mapping, Optional
+from abc import abstractmethod
+from typing import Optional
 
 from ..webdb.crawler import crawl
-from ..webdb.interface import Row, WebDB
+from ..webdb.interface import Row
 from ..webdb.predicates import QuerySpec, Range, point
 from ..webdb.ranking import LinearRanking
 from .dense_index import DenseIndex
+from .engine import GetNext
 from .session import Context1D, Session
 
-#: interval width below which BINARY must crawl to terminate (float limit)
-MACHINE_EPS = 1e-9
 
-
-class OneDAlgorithm(ABC):
+class OneDAlgorithm(GetNext):
     """Common frame for the three 1-D get-next algorithms."""
 
     name = "1d"
 
-    def __init__(
-        self,
-        db: WebDB,
-        bounds: Mapping[str, tuple[float, float]],
-        *,
-        dense_index: Optional[DenseIndex] = None,
-    ):
-        self.db = db
-        #: attribute domains used by the crawler for splitting (discovered
-        #: once per source through the public interface)
-        self.bounds = dict(bounds)
-        self.dense_index = dense_index
-
-    # ----- public primitive ---------------------------------------------
     def get_next(self, session: Session, ranking: LinearRanking) -> Optional[Row]:
         """Deliver the next-best undelivered tuple, or None when exhausted."""
-        attr = self._attr(ranking)
+        self._attr(ranking)  # rejects a multi-attribute ranking up front
         ctx = session.ctx_1d(ranking)
         cand = self._pool_candidate(session, ranking, ctx)
         if cand is not None:
@@ -73,16 +57,6 @@ class OneDAlgorithm(ABC):
         if row is None:
             return None
         return session.deliver(row)
-
-    def get_top_h(self, session: Session, ranking: LinearRanking, h: int) -> list[Row]:
-        """Deliver the next ``h`` tuples (repeated get-next)."""
-        out = []
-        for _ in range(h):
-            r = self.get_next(session, ranking)
-            if r is None:
-                break
-            out.append(r)
-        return out
 
     # ----- shared helpers -------------------------------------------------
     @staticmethod
@@ -109,35 +83,23 @@ class OneDAlgorithm(ABC):
         return session.filter_spec.with_range(amap.attr, amap.unit_range_to_raw(r))
 
     def _fetch(self, session, spec: QuerySpec):
-        """Query with dense-index short-circuit.
+        """Query with dense-index short-circuit; returns (rows, overflow).
 
-        Returns (rows, overflow, from_index); an index hit is free and
-        complete (overflow False).
+        An index hit is free and complete (overflow False).
         """
-        if self.dense_index is not None:
-            hit = self.dense_index.rows_matching(spec)
-            if hit is not None:
-                session.absorb(hit)
-                return hit, False, True
+        hit = self._indexed(session, spec)
+        if hit is not None:
+            return hit, False
         rows, overflow = self.db.query(spec)
         session.absorb(rows)
-        return rows, overflow, False
+        return rows, overflow
 
-    def _crawl_region(self, session, spec: QuerySpec, *, index_it: bool) -> list[Row]:
-        """Fully enumerate ``spec`` via the crawler; optionally index it."""
-        if self.dense_index is not None:
-            hit = self.dense_index.rows_matching(spec)
-            if hit is not None:
-                session.absorb(hit)
-                return hit
-        result = crawl(self.db, spec, self.bounds)
-        rows = list(result.rows.values())
-        session.absorb(rows)
-        if index_it and self.dense_index is not None:
-            self.dense_index.add(spec, result.rows)
-        return rows
+    def _crawl_region(self, session, spec: QuerySpec) -> None:
+        """Fully enumerate ``spec``, which the caller just missed in the index."""
+        # the crawl stays here under this module's ``crawl`` name, which perfbench traces
+        self._store_crawl(session, spec, crawl(self.db, spec, self.bounds))
 
-    def _resolve_point(self, session, ranking, v_raw: float, *, index_it: bool) -> None:
+    def _resolve_point(self, session, ranking, v_raw: float) -> None:
         """Enumerate every tuple whose ranked attribute equals ``v_raw``.
 
         Handles duplicate values (> system-k tuples sharing one value): a
@@ -147,9 +109,9 @@ class OneDAlgorithm(ABC):
         """
         amap = ranking.attr_map(self._attr(ranking))
         spec = session.filter_spec.with_range(amap.attr, point(v_raw))
-        rows, overflow, _ = self._fetch(session, spec)
+        _, overflow = self._fetch(session, spec)
         if overflow:
-            self._crawl_region(session, spec, index_it=index_it)
+            self._crawl_region(session, spec)
 
     def _finish(self, session, ranking, ctx: Context1D, new_frontier: float) -> Optional[Row]:
         """Advance the frontier and return the best candidate under it."""
@@ -199,13 +161,13 @@ class OneDBaseline(OneDAlgorithm):
             if spec.is_empty():
                 rows, overflow = [], False
             else:
-                rows, overflow, _ = self._fetch(session, spec)
+                rows, overflow = self._fetch(session, spec)
             if not overflow:
                 if hi_raw is None:  # searched all the way to the top of the axis
                     return self._finish(session, ranking, ctx, 1.0)
                 # everything strictly before hi_raw is known; enumerate the
                 # duplicates at the boundary value itself, then advance
-                self._resolve_point(session, ranking, hi_raw, index_it=False)
+                self._resolve_point(session, ranking, hi_raw)
                 ctx.frontier_raw = hi_raw
                 return self._finish(session, ranking, ctx, amap.to_unit(hi_raw))
             best_row = min(rows, key=lambda r: amap.to_unit(r[amap.attr]))
@@ -216,10 +178,6 @@ class OneDBinary(OneDAlgorithm):
     """Left-first binary halving of the search axis (1D-BINARY)."""
 
     name = "1d-binary"
-    #: overflowing intervals narrower than this are crawled (termination);
-    #: BINARY's crawls are NOT indexed, so other sessions re-pay them.
-    crawl_width = MACHINE_EPS
-    index_crawls = False
 
     def _search(self, session, ranking, ctx):
         # stack of (lo, lo_incl, hi, hi_incl); right pushed first so the
@@ -234,7 +192,7 @@ class OneDBinary(OneDAlgorithm):
                     return cand
                 continue
             spec = self._interval_spec(session, ranking, interval)
-            rows, overflow, _ = self._fetch(session, spec)
+            _, overflow = self._fetch(session, spec)
             if not overflow:
                 cand = self._finish(session, ranking, ctx, hi)
                 if cand is not None:
@@ -242,7 +200,7 @@ class OneDBinary(OneDAlgorithm):
                 continue
             if hi - lo <= self.crawl_width:
                 # dense region: halving has stopped paying off — crawl it
-                self._crawl_region(session, spec, index_it=self.index_crawls)
+                self._crawl_region(session, spec)
                 cand = self._finish(session, ranking, ctx, hi)
                 if cand is not None:
                     return cand
@@ -265,9 +223,7 @@ class OneDRerank(OneDBinary):
     index_crawls = True
 
     def __init__(self, db, bounds, *, dense_index: Optional[DenseIndex] = None, delta: float = 0.02):
-        super().__init__(
-            db, bounds, dense_index=dense_index if dense_index is not None else DenseIndex(db.name)
-        )
+        super().__init__(db, bounds, dense_index=dense_index)
         self.crawl_width = delta
 
 

@@ -78,15 +78,6 @@ class Session:
         self._delivered_set.add(row["tid"])
         return row
 
-    def delivered_rows(self) -> list[Row]:
-        """Tuples served so far, in rank order."""
-        return [self.pool[t] for t in self.delivered_ids]
-
-    def undelivered(self, rows) -> list[Row]:
-        """Filter out already-served tuples."""
-        seen = self._delivered_set
-        return [r for r in rows if r["tid"] not in seen]
-
     def best_undelivered(
         self, ranking: LinearRanking, rows, spec: Optional[QuerySpec] = None
     ) -> Optional[Row]:

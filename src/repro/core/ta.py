@@ -14,12 +14,14 @@ tuples with zero queries.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from ..webdb.interface import Row, WebDB
 from ..webdb.ranking import LinearRanking, one_d
 from .dense_index import DenseIndex
+from .engine import GetNext
 from .onedim import OneDRerank
 from .session import Session
 
@@ -46,10 +48,12 @@ class _TAState:
     heap: list = field(default_factory=list)
 
 
-class MDTA:
+class MDTA(GetNext):
     """The TA implementation of MD get-next (MD-TA)."""
 
     name = "md-ta"
+    #: the 1D-RERANK streams index their dense crawls
+    index_crawls = True
 
     def __init__(
         self,
@@ -60,10 +64,7 @@ class MDTA:
         delta: float = 0.02,
         max_queries: Optional[int] = None,
     ):
-        self.db = db
-        self.bounds = dict(bounds)
-        self.dense_index = dense_index if dense_index is not None else DenseIndex(db.name)
-        self.delta = delta
+        super().__init__(db, bounds, dense_index=dense_index)
         self.max_queries = max_queries
         self._engine = OneDRerank(db, bounds, dense_index=self.dense_index, delta=delta)
 
@@ -81,8 +82,6 @@ class MDTA:
         """Deliver the next-best undelivered tuple, or None when exhausted."""
         if len(ranking.attrs) < 2:
             raise ValueError("MD-TA requires >= 2 ranking attributes")
-        import heapq
-
         st = self._state(session, ranking)
         budget_start = self.db.stats.n_queries
 
@@ -106,11 +105,7 @@ class MDTA:
                     return None
                 session.absorb([best])
                 return session.deliver(best)
-            if (
-                self.max_queries is not None
-                and self.db.stats.n_queries - budget_start > self.max_queries
-            ):
-                raise RuntimeError("MD-TA exceeded query budget")
+            self._check_budget(budget_start, best)
             # one round of sorted access: advance the laggard stream first
             stream = min(live, key=lambda s: s.frontier)
             row = self._engine.get_next(stream.session, stream.ranking)
@@ -123,13 +118,3 @@ class MDTA:
                 heapq.heappush(st.heap, (ranking.key(row), row["tid"], row))
             amap = stream.ranking.attr_map(stream.ranking.attrs[0])
             stream.frontier = max(stream.frontier, amap.to_unit(row[amap.attr]))
-
-    def get_top_h(self, session: Session, ranking: LinearRanking, h: int) -> list[Row]:
-        """Deliver the next ``h`` tuples (repeated get-next)."""
-        out = []
-        for _ in range(h):
-            r = self.get_next(session, ranking)
-            if r is None:
-                break
-            out.append(r)
-        return out

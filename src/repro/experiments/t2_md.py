@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import pandas as pd
 
-from ..core.multidim import ALGORITHMS_MD, MDBudgetExceeded
+from ..core.multidim import ALGORITHMS_MD
 from ..core.rerank_op import ground_truth_topk
 from ..core.session import Session
 from ..core.ta import MDTA
+from ..webdb.interface import BudgetExceeded
 from ..webdb.predicates import QuerySpec
 from ..webdb.ranking import LinearRanking
 from .common import Timer, make_db, true_bounds
@@ -52,7 +53,7 @@ def run(spark=None, *, n: int = 2000, h: int = 5, k: int = 10, quick: bool = Fal
                 assert [r["tid"] for r in got] == truth, (fname, name)
                 queries = db.stats.since(before).n_queries
                 secs = round(t.seconds, 2)
-            except (MDBudgetExceeded, RuntimeError):
+            except BudgetExceeded:
                 queries, secs = f">{max_queries}", float("nan")
             rows.append(
                 {

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .interface import Row, WebDB
+from .interface import BudgetExceeded, Row, WebDB
 from .predicates import QuerySpec, Range
 
 
@@ -62,7 +62,8 @@ def crawl(
 
     ``bounds`` supplies attribute domains for unbounded range sides (the
     service learns them via ``discovery``). Query cost is charged to
-    ``db.stats`` as usual and also reported in the result.
+    ``db.stats`` as usual and also reported in the result. Raises
+    :class:`BudgetExceeded` past ``max_queries``.
     """
     res = CrawlResult()
     before = db.stats.n_queries
@@ -71,7 +72,7 @@ def crawl(
     level = [spec]
     while level:
         if db.stats.n_queries - before > max_queries:
-            raise CrawlError(f"crawl exceeded {max_queries} queries")
+            raise BudgetExceeded(db.stats.n_queries - before)
         level = [s for s in level if not s.is_empty()]
         if not level:
             break
@@ -90,7 +91,7 @@ def crawl(
                 nxt.append(cur.with_range(a, Range(mid, None, lo_incl=False)))
                 continue
             cat = next(
-                (a for a in db.cat_attrs if len(cur.cats.get(a, ())) > 1), None
+                (a for a in db.cat_domains if len(cur.cats.get(a, ())) > 1), None
             )
             if cat is not None:
                 vals = sorted(cur.cats[cat])
@@ -98,11 +99,12 @@ def crawl(
                 nxt.append(QuerySpec(cur.ranges, {**cur.cats, cat: frozenset(vals[:half])}))
                 nxt.append(QuerySpec(cur.ranges, {**cur.cats, cat: frozenset(vals[half:])}))
                 continue
-            unused_cat = next((a for a in db.cat_attrs if a not in cur.cats), None)
+            unused_cat = next((a for a in db.cat_domains if a not in cur.cats), None)
             if unused_cat is not None:
-                # constrain an untouched categorical facet so it becomes splittable
-                domain = _cat_domain(db, unused_cat)
-                nxt.append(QuerySpec(cur.ranges, {**cur.cats, unused_cat: frozenset(domain)}))
+                # constrain an untouched categorical facet to every option its
+                # search form lists, so it becomes splittable
+                domain = frozenset(db.cat_domains[unused_cat])
+                nxt.append(QuerySpec(cur.ranges, {**cur.cats, unused_cat: domain}))
                 continue
             got = _peel_with_orders(db, cur, res)
             if not got:
@@ -112,22 +114,6 @@ def crawl(
         level = nxt
     res.n_queries = db.stats.n_queries - before
     return res
-
-
-def _cat_domain(db: WebDB, attr: str) -> list:
-    """The site's visible option list for a categorical facet."""
-    from .. import synth_data as sd
-
-    domains = {
-        "cut": sd.DIAMOND_CUTS,
-        "color": sd.DIAMOND_COLORS,
-        "clarity": sd.DIAMOND_CLARITIES,
-        "shape": sd.DIAMOND_SHAPES,
-        "zipcode": sd.HOUSE_ZIPS,
-    }
-    if attr not in domains:
-        raise CrawlError(f"no known facet domain for {attr}")
-    return domains[attr]
 
 
 def _peel_with_orders(db: WebDB, spec: QuerySpec, res: CrawlResult) -> bool:

@@ -21,11 +21,10 @@ batch genuinely runs concurrently (thread pool over Spark actions).
 """
 from __future__ import annotations
 
-import heapq
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import pandas as pd
 
@@ -36,17 +35,25 @@ Row = dict
 QueryResult = tuple[list[Row], bool]  # (top-k rows, overflow flag)
 
 
+class BudgetExceeded(RuntimeError):
+    """A search or crawl spent more site queries than its budget.
+
+    Carries the queries spent and, for a get-next search, the best
+    undelivered tuple known when it stopped (None for a crawl).
+    """
+
+    def __init__(self, n_queries: int, best: Optional[Row] = None):
+        super().__init__(f"exceeded query budget after {n_queries} queries")
+        self.n_queries = n_queries
+        self.best = best
+
+
 @dataclass
 class QueryStats:
     """Counters the service's statistics panel reports (section II-C)."""
 
     n_queries: int = 0
     batch_sizes: list = field(default_factory=list)
-
-    @property
-    def n_batches(self) -> int:
-        """Number of iterations (a sequential query counts as a batch of 1)."""
-        return len(self.batch_sizes)
 
     @property
     def n_parallel_queries(self) -> int:
@@ -81,13 +88,14 @@ class WebDB(ABC):
         k: int,
         system_ranking: SystemRanking,
         numeric_attrs: Sequence[str],
-        cat_attrs: Sequence[str] = (),
+        cat_domains: Mapping[str, Sequence] = {},
     ):
         self.name = name
         self.k = k
         self.system_ranking = system_ranking
         self.numeric_attrs = list(numeric_attrs)
-        self.cat_attrs = list(cat_attrs)
+        #: categorical facet -> the options its search form lists
+        self.cat_domains = {a: list(opts) for a, opts in cat_domains.items()}
         self.stats = QueryStats()
 
     # ----- the public interface -----------------------------------------
@@ -156,9 +164,9 @@ class LocalWebDB(WebDB):
         k: int,
         system_ranking: SystemRanking,
         numeric_attrs: Sequence[str],
-        cat_attrs: Sequence[str] = (),
+        cat_domains: Mapping[str, Sequence] = {},
     ):
-        super().__init__(name, k, system_ranking, numeric_attrs, cat_attrs)
+        super().__init__(name, k, system_ranking, numeric_attrs, cat_domains)
         if self.id_col not in pdf.columns:
             raise ValueError(f"data must carry an {self.id_col!r} column")
         self.pdf = pdf.reset_index(drop=True)
@@ -204,10 +212,10 @@ class SparkWebDB(WebDB):
         k: int,
         system_ranking: SystemRanking,
         numeric_attrs: Sequence[str],
-        cat_attrs: Sequence[str] = (),
+        cat_domains: Mapping[str, Sequence] = {},
         n_threads: int = 8,
     ):
-        super().__init__(name, k, system_ranking, numeric_attrs, cat_attrs)
+        super().__init__(name, k, system_ranking, numeric_attrs, cat_domains)
         if self.id_col not in df.columns:
             raise ValueError(f"data must carry an {self.id_col!r} column")
         # a web database's inventory is small by Spark standards; a handful
@@ -245,17 +253,3 @@ class SparkWebDB(WebDB):
 
     def true_size(self) -> int:
         return self._n
-
-
-def merge_rows_by_id(*row_lists: Sequence[Row], id_col: str = "tid") -> dict:
-    """Union row lists into an id-keyed dict (later lists win on conflict)."""
-    out: dict = {}
-    for rows in row_lists:
-        for r in rows:
-            out[r[id_col]] = r
-    return out
-
-
-def top_h_rows(rows, ranking, h: int, *, id_col: str = "tid") -> list[Row]:
-    """Smallest-h rows by the user ranking's (score, tid) key — pure helper."""
-    return heapq.nsmallest(h, rows, key=lambda r: ranking.key(r, id_col))

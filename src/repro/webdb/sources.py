@@ -13,14 +13,20 @@ from .. import synth_data
 from .interface import LocalWebDB, SparkWebDB, WebDB
 from .ranking import SystemRanking
 
-#: Blue Nile search form: numeric sliders + categorical selects (section II-C)
+#: Blue Nile search form: numeric sliders + categorical selects (section II-C),
+#: each select published with the options it lists, as on the live form
 BLUENILE_NUMERIC = ["price", "carat", "depth", "table_pct", "lwr"]
-BLUENILE_CAT = ["cut", "color", "clarity", "shape"]
+BLUENILE_CAT = {
+    "cut": synth_data.DIAMOND_CUTS,
+    "color": synth_data.DIAMOND_COLORS,
+    "clarity": synth_data.DIAMOND_CLARITIES,
+    "shape": synth_data.DIAMOND_SHAPES,
+}
 BLUENILE_SYSTEM_RANK = SystemRanking("price")
 
 #: Zillow search form
 ZILLOW_NUMERIC = ["price", "sqft", "beds", "baths"]
-ZILLOW_CAT = ["zipcode"]
+ZILLOW_CAT = {"zipcode": synth_data.HOUSE_ZIPS}
 ZILLOW_SYSTEM_RANK = SystemRanking("price / 1000 + 0.05 * sqft")
 
 DEFAULT_SYSTEM_K = 10
@@ -37,7 +43,7 @@ def bluenile(
             k=k,
             system_ranking=BLUENILE_SYSTEM_RANK,
             numeric_attrs=BLUENILE_NUMERIC,
-            cat_attrs=BLUENILE_CAT,
+            cat_domains=BLUENILE_CAT,
         )
     return SparkWebDB(
         synth_data.diamonds(spark, n=n, seed=seed),
@@ -45,7 +51,7 @@ def bluenile(
         k=k,
         system_ranking=BLUENILE_SYSTEM_RANK,
         numeric_attrs=BLUENILE_NUMERIC,
-        cat_attrs=BLUENILE_CAT,
+        cat_domains=BLUENILE_CAT,
     )
 
 
@@ -60,7 +66,7 @@ def zillow(
             k=k,
             system_ranking=ZILLOW_SYSTEM_RANK,
             numeric_attrs=ZILLOW_NUMERIC,
-            cat_attrs=ZILLOW_CAT,
+            cat_domains=ZILLOW_CAT,
         )
     return SparkWebDB(
         synth_data.houses(spark, n=n, seed=seed),
@@ -68,7 +74,7 @@ def zillow(
         k=k,
         system_ranking=ZILLOW_SYSTEM_RANK,
         numeric_attrs=ZILLOW_NUMERIC,
-        cat_attrs=ZILLOW_CAT,
+        cat_domains=ZILLOW_CAT,
     )
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.webdb import sources
 from repro.webdb.crawler import CrawlError, crawl
-from repro.webdb.interface import LocalWebDB
+from repro.webdb.interface import BudgetExceeded, LocalWebDB
 from repro.webdb.predicates import QuerySpec, Range, point
 from repro.webdb.ranking import SystemRanking
 
@@ -64,7 +64,7 @@ class TestCostAccounting:
         assert res.n_queries >= 1
 
     def test_budget_enforced(self, db, bounds):
-        with pytest.raises(CrawlError):
+        with pytest.raises(BudgetExceeded):
             crawl(db, QuerySpec(), bounds, max_queries=3)
 
 
@@ -83,7 +83,7 @@ class TestDegenerateRegions:
             k=k,
             system_ranking=SystemRanking("x"),
             numeric_attrs=["x"],
-            cat_attrs=["c"] if with_cat else [],
+            cat_domains={"c": ["a", "b"]} if with_cat else {},
         )
 
     def test_point_region_peeled_with_dual_orders(self, bounds):
@@ -111,7 +111,7 @@ class TestDegenerateRegions:
         )
         db = LocalWebDB(
             pdf, name="dup", k=10, system_ranking=SystemRanking("x"),
-            numeric_attrs=["x"], cat_attrs=["c"],
+            numeric_attrs=["x"], cat_domains={"c": ["a", "b"]},
         )
         spec = QuerySpec({"x": point(5.0)}, {"c": frozenset({"a", "b"})})
         res = crawl(db, spec, {"x": (5.0, 5.0)})

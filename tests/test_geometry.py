@@ -1,10 +1,10 @@
-"""Tests for unit-space boxes, contour clipping and covering."""
+"""Tests for unit-space boxes and contour clipping."""
 import itertools
 
 import numpy as np
 import pytest
 
-from repro.core.geometry import Box, contour_cover
+from repro.core.geometry import Box
 from repro.webdb.predicates import QuerySpec, Range
 from repro.webdb.ranking import LinearRanking
 
@@ -28,7 +28,6 @@ class TestBoxBasics:
     def test_scores(self):
         b = Box(("a", "b"), (Range(0.2, 0.4), Range(0.5, 1.0)))
         assert b.min_score(W2) == pytest.approx(0.2 + 0.25)
-        assert b.max_score(W2) == pytest.approx(0.4 + 0.5)
 
     def test_mismatched_dims_rejected(self):
         with pytest.raises(ValueError):
@@ -116,28 +115,3 @@ class TestToSpec:
             uy = rk.attr_map("y").to_unit(y)
             in_box = b.ranges[0].contains(ux) and b.ranges[1].contains(uy)
             assert in_box == spec.matches({"x": x, "y": y})
-
-
-class TestContourCover:
-    def test_cover_contains_region_below_contour(self):
-        rng = np.random.default_rng(2)
-        boxes = contour_cover(Box.unit(["a", "b"]), RK2, 0.6)
-        assert boxes
-        for a, bb in rng.random((500, 2)):
-            if W2["a"] * a + W2["b"] * bb <= 0.6:
-                assert any(
-                    bx.ranges[0].contains(a) and bx.ranges[1].contains(bb) for bx in boxes
-                ), (a, bb)
-
-    def test_cover_excludes_far_region(self):
-        boxes = contour_cover(Box.unit(["a", "b"]), RK2, 0.2)
-        for bx in boxes:
-            assert bx.min_score(W2) <= 0.2
-
-    def test_cover_empty_when_contour_below_box(self):
-        b = Box(("a", "b"), (Range(0.5, 1.0), Range(0.5, 1.0)))
-        assert contour_cover(b, RK2, 0.1) == []
-
-    def test_max_boxes_respected(self):
-        boxes = contour_cover(Box.unit(["a", "b"]), RK2, 0.6, max_boxes=8)
-        assert len(boxes) <= 9

@@ -2,7 +2,7 @@
 import pandas as pd
 import pytest
 
-from repro.webdb.interface import LocalWebDB, QueryStats, merge_rows_by_id, top_h_rows
+from repro.webdb.interface import LocalWebDB, QueryStats
 from repro.webdb.predicates import QuerySpec, Range
 from repro.webdb.ranking import SystemRanking, one_d
 from repro.webdb import sources
@@ -24,7 +24,7 @@ def tiny_db():
         k=3,
         system_ranking=SystemRanking("x"),
         numeric_attrs=["x", "y"],
-        cat_attrs=["c"],
+        cat_domains={"c": list("abcd")},
     )
 
 
@@ -154,18 +154,3 @@ class TestSourcesFactory:
         assert sources.make_source("bluenile", n=50).name == "bluenile"
         with pytest.raises(KeyError):
             sources.make_source("amazon")
-
-
-class TestHelpers:
-    def test_merge_rows_by_id(self):
-        a = [{"tid": 1, "v": 1}, {"tid": 2, "v": 2}]
-        b = [{"tid": 2, "v": 99}, {"tid": 3, "v": 3}]
-        m = merge_rows_by_id(a, b)
-        assert set(m) == {1, 2, 3}
-        assert m[2]["v"] == 99
-
-    def test_top_h_rows(self):
-        rk = one_d("x", (0, 10))
-        rows = [{"x": v, "tid": i} for i, v in enumerate([5, 1, 3, 1])]
-        top = top_h_rows(rows, rk, 2)
-        assert [r["tid"] for r in top] == [1, 3]

@@ -1,0 +1,41 @@
+"""Import boundary: the service side never imports the hidden database's
+generator. The algorithms and the crawler learn facet options from the
+search form (``WebDB.cat_domains``) and extents through discovery, as a
+third-party service over a real site must."""
+import ast
+import pathlib
+
+import pytest
+
+import repro
+
+SRC = pathlib.Path(repro.__file__).parent
+SERVICE_SIDE = sorted((SRC / "core").glob("*.py")) + [
+    SRC / "webdb" / f"{m}.py" for m in ("crawler", "discovery", "interface")
+]
+
+
+def _imports(path: pathlib.Path) -> set[str]:
+    """Absolute names of every module (and imported member) in ``path``."""
+    package = ".".join(path.relative_to(SRC.parent).with_suffix("").parts[:-1])
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            base = ".".join(parts[: len(parts) - node.level + 1]) if node.level else ""
+            mod = ".".join(p for p in (base, node.module) if p)
+            out.add(mod)
+            out.update(f"{mod}.{a.name}" for a in node.names)
+    return out
+
+
+def test_service_side_files_found():
+    assert len(SERVICE_SIDE) > 8 and all(p.exists() for p in SERVICE_SIDE)
+
+
+@pytest.mark.parametrize("path", SERVICE_SIDE, ids=lambda p: f"{p.parent.name}_{p.stem}")
+def test_no_generator_import(path):
+    bad = {m for m in _imports(path) if m == "repro.synth_data" or m.startswith("repro.synth_data.")}
+    assert not bad, f"{path.name} imports {sorted(bad)}"

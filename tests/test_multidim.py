@@ -6,12 +6,12 @@ from repro.core.multidim import (
     ALGORITHMS_MD,
     MDBaseline,
     MDBinary,
-    MDBudgetExceeded,
     MDRerank,
 )
 from repro.core.rerank_op import ground_truth_topk
 from repro.core.session import Session
 from repro.webdb import sources
+from repro.webdb.interface import BudgetExceeded
 from repro.webdb.predicates import QuerySpec, Range
 from repro.webdb.ranking import LinearRanking
 
@@ -108,7 +108,7 @@ class TestExactness:
 
 class TestBehaviour:
     def test_budget_exception_carries_progress(self, bluenile):
-        with pytest.raises(MDBudgetExceeded) as ei:
+        with pytest.raises(BudgetExceeded) as ei:
             _run(bluenile, MDBinary, {"price": -1.0, "carat": -1.0}, h=5, max_queries=3)
         assert ei.value.n_queries > 3
 

@@ -23,14 +23,14 @@ class TestPool:
         r = _rows(3, 1, 2)
         for row in sorted(r, key=RK.key):
             s.deliver(row)
-        assert [x["x"] for x in s.delivered_rows()] == [1.0, 2.0, 3.0]
+        assert s.delivered_ids == [2, 3, 1]
 
     def test_undelivered_filter(self):
         s = Session()
         rows = _rows(1, 2, 3)
         s.absorb(rows)
         s.deliver(rows[0])
-        assert {r["tid"] for r in s.undelivered(rows)} == {2, 3}
+        assert {r["tid"] for r in rows if not s.is_delivered(r["tid"])} == {2, 3}
 
     def test_best_undelivered_min_key(self):
         s = Session()

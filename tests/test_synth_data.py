@@ -1,4 +1,4 @@
-"""Tests for the synthetic Blue Nile / Zillow generators (and provided TPC-H-lite)."""
+"""Tests for the synthetic Blue Nile / Zillow generators."""
 import numpy as np
 import pytest
 
@@ -75,17 +75,3 @@ class TestHouses:
         pdf = sd.houses_pdf(n=200)
         got = sd.houses(spark, n=200).toPandas().sort_values("tid").reset_index(drop=True)
         assert got.equals(pdf.sort_values("tid").reset_index(drop=True))
-
-
-class TestProvidedGenerators:
-    def test_lineitem_scale(self, spark):
-        assert sd.lineitem(spark, sf=0.001).count() == 6000
-
-    def test_zipf_skew(self, spark):
-        pdf = sd.zipf_keys(spark, n=5000, n_keys=100, alpha=1.5).toPandas()
-        counts = pdf["k"].value_counts()
-        assert counts.iloc[0] > 5 * counts.iloc[-1]
-
-    def test_uniform_keys_cover(self, spark):
-        pdf = sd.uniform_keys(spark, n=2000, n_keys=10).toPandas()
-        assert set(pdf["k"]) == set(range(1, 11))

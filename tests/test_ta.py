@@ -5,6 +5,7 @@ from repro.core.rerank_op import ground_truth_topk
 from repro.core.session import Session
 from repro.core.ta import MDTA
 from repro.webdb import sources
+from repro.webdb.interface import BudgetExceeded
 from repro.webdb.predicates import QuerySpec, Range
 from repro.webdb.ranking import LinearRanking
 
@@ -109,5 +110,6 @@ class TestBehaviour:
         w = {"price": -1.0, "carat": -1.0}
         rk = LinearRanking(w, {a: bounds[a] for a in w})
         algo = MDTA(bluenile, bounds, max_queries=2)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(BudgetExceeded) as ei:
             algo.get_top_h(Session(), rk, 5)
+        assert ei.value.n_queries > 2
