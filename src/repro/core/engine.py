@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 from typing import Mapping, Optional
 
 from ..webdb.crawler import CrawlResult
-from ..webdb.interface import BudgetExceeded, Row, WebDB
+from ..webdb.interface import BudgetExceeded, QueryStats, Row, WebDB
 from ..webdb.predicates import QuerySpec
 from ..webdb.ranking import LinearRanking
 from .dense_index import DenseIndex
@@ -83,8 +83,7 @@ class GetNext(ABC):
         if self.index_crawls:
             self.dense_index.add(spec, result.rows)
 
-    def _check_budget(self, start: int, best: Optional[Row]) -> None:
-        """Raise once this get-next has spent more than ``max_queries``."""
-        spent = self.db.stats.n_queries - start
-        if self.max_queries is not None and spent > self.max_queries:
-            raise BudgetExceeded(spent, best)
+    def _check_budget(self, cost: QueryStats, best: Optional[Row]) -> None:
+        """Raise once this get-next's ``cost`` exceeds ``max_queries``."""
+        if self.max_queries is not None and cost.n_queries > self.max_queries:
+            raise BudgetExceeded(cost.n_queries, best)

@@ -33,7 +33,7 @@ from ..webdb.ranking import LinearRanking
 from .dense_index import DenseIndex
 from .engine import GetNext
 from .geometry import Box
-from .session import Session
+from .session import ContextMD, Session
 
 
 class MDAlgorithm(GetNext):
@@ -61,73 +61,73 @@ class MDAlgorithm(GetNext):
         """Deliver the next-best undelivered tuple, or None when exhausted."""
         if len(ranking.attrs) < 2:
             raise ValueError("MD algorithm requires >= 2 ranking attributes")
-        ctx = session.ctx_md(ranking)
+        ctx = session.ctx("md", ranking, ContextMD)
         w = {d: ranking.internal_weight(d) for d in ranking.attrs}
-        budget_start = self.db.stats.n_queries
         best = session.best_undelivered(
             ranking, session.pool.values(), session.filter_spec
         )
         queue: list[Box] = [Box.unit(ranking.attrs)]
-        while queue:
-            self._check_budget(budget_start, best)
-            best_s = None if best is None else ranking.internal_score(best)
-            live = []
-            for box in queue:
-                if box.is_empty():
-                    continue
-                if ctx.is_certified(box):
-                    continue
-                if best_s is not None and box.min_score(w) > best_s + 1e-12:
-                    continue  # rank-contour prune
-                live.append(box)
-            if not live:
-                break
-            # dense-index hits and session-cached responses are free
-            pending: list[tuple[Box, QuerySpec]] = []
-            ready: list[tuple[Box, QuerySpec, list, bool]] = []
-            for box in live:
-                spec = session.filter_spec.merged(box.to_spec(ranking))
-                if self._indexed(session, spec) is not None:
-                    ctx.add(box)
-                    continue
-                cached = session.query_cache.get(spec.to_sql())
-                if cached is not None:
-                    ready.append((box, spec, cached[0], cached[1]))
-                else:
-                    pending.append((box, spec))
-            # one parallel iteration over the genuinely new queries (Fig. 2);
-            # a lone query gets its box's children added speculatively so the
-            # web-database round-trip is still parallel
-            speculative: list[tuple[Box, QuerySpec]] = []
-            if self.speculate and len(pending) == 1:
-                for child in pending[0][0].split_widest():
-                    if child.is_empty():
+        with self.db.counting() as cost:
+            while queue:
+                self._check_budget(cost, best)
+                best_s = None if best is None else ranking.internal_score(best)
+                live = []
+                for box in queue:
+                    if box.is_empty():
                         continue
-                    cspec = session.filter_spec.merged(child.to_spec(ranking))
-                    if cspec.to_sql() not in session.query_cache:
-                        speculative.append((child, cspec))
-            batch = pending + speculative
-            results = self.db.query_batch([s for _, s in batch])
-            for (box, spec), (rows, overflow) in zip(batch, results):
-                session.query_cache[spec.to_sql()] = (rows, overflow)
-            for (box, spec) in pending:
-                rows, overflow = session.query_cache[spec.to_sql()]
-                ready.append((box, spec, rows, overflow))
-            queue = []
-            for box, spec, rows, overflow in ready:
-                session.absorb(rows)
-                if not overflow:
-                    ctx.add(box)
-                    continue
-                if box.max_width() <= self.crawl_width:
-                    # the crawl stays here under this module's ``crawl`` name, which perfbench traces
-                    self._store_crawl(session, spec, crawl(self.db, spec, self.bounds))
-                    ctx.add(box)
-                    continue
-                queue.extend(self._narrow(box, ranking, best_s))
-            best = session.best_undelivered(
-                ranking, session.pool.values(), session.filter_spec
-            )
+                    if ctx.is_certified(box):
+                        continue
+                    if best_s is not None and box.min_score(w) > best_s + 1e-12:
+                        continue  # rank-contour prune
+                    live.append(box)
+                if not live:
+                    break
+                # dense-index hits and session-cached responses are free
+                pending: list[tuple[Box, QuerySpec]] = []
+                ready: list[tuple[Box, QuerySpec, list, bool]] = []
+                for box in live:
+                    spec = session.filter_spec.merged(box.to_spec(ranking))
+                    if self._indexed(session, spec) is not None:
+                        ctx.add(box)
+                        continue
+                    cached = session.query_cache.get(spec.to_sql())
+                    if cached is not None:
+                        ready.append((box, spec, cached[0], cached[1]))
+                    else:
+                        pending.append((box, spec))
+                # one parallel iteration over the genuinely new queries (Fig. 2);
+                # a lone query gets its box's children added speculatively so the
+                # web-database round-trip is still parallel
+                speculative: list[tuple[Box, QuerySpec]] = []
+                if self.speculate and len(pending) == 1:
+                    for child in pending[0][0].split_widest():
+                        if child.is_empty():
+                            continue
+                        cspec = session.filter_spec.merged(child.to_spec(ranking))
+                        if cspec.to_sql() not in session.query_cache:
+                            speculative.append((child, cspec))
+                batch = pending + speculative
+                results = self.db.query_batch([s for _, s in batch])
+                for (box, spec), (rows, overflow) in zip(batch, results):
+                    session.query_cache[spec.to_sql()] = (rows, overflow)
+                for (box, spec) in pending:
+                    rows, overflow = session.query_cache[spec.to_sql()]
+                    ready.append((box, spec, rows, overflow))
+                queue = []
+                for box, spec, rows, overflow in ready:
+                    session.absorb(rows)
+                    if not overflow:
+                        ctx.add(box)
+                        continue
+                    if box.max_width() <= self.crawl_width:
+                        # the crawl stays here under this module's ``crawl`` name, which perfbench traces
+                        self._store_crawl(session, spec, crawl(self.db, spec, self.bounds))
+                        ctx.add(box)
+                        continue
+                    queue.extend(self._narrow(box, ranking, best_s))
+                best = session.best_undelivered(
+                    ranking, session.pool.values(), session.filter_spec
+                )
         if best is None:
             return None
         return session.deliver(best)

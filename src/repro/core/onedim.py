@@ -47,7 +47,7 @@ class OneDAlgorithm(GetNext):
     def get_next(self, session: Session, ranking: LinearRanking) -> Optional[Row]:
         """Deliver the next-best undelivered tuple, or None when exhausted."""
         self._attr(ranking)  # rejects a multi-attribute ranking up front
-        ctx = session.ctx_1d(ranking)
+        ctx = session.ctx("1d", ranking, Context1D)
         cand = self._pool_candidate(session, ranking, ctx)
         if cand is not None:
             return session.deliver(cand)

@@ -9,6 +9,7 @@ queries issued to the web database and processing time (section II-C).
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -53,7 +54,7 @@ class QR2Service:
         self.md_algorithm = md_algorithm
         self.delta = delta
         self._sessions: dict[int, tuple[UserQuery, Session, object]] = {}
-        self._next_sid = 1
+        self._sids = itertools.count(1)
 
     # ----- source management ---------------------------------------------
     def register_source(
@@ -121,8 +122,7 @@ class QR2Service:
         db = self.dbs[q.source]
         session = Session(q.filter_spec)
         algo = self._algorithm(db, q.ranking)
-        sid = self._next_sid
-        self._next_sid += 1
+        sid = next(self._sids)
         self._sessions[sid] = (q, session, algo)
         rows, stats = self._page(sid)
         return sid, rows, stats
@@ -134,12 +134,11 @@ class QR2Service:
     def _page(self, sid: int) -> tuple[list[Row], PageStats]:
         q, session, algo = self._sessions[sid]
         db = self.dbs[q.source]
-        before = db.stats.snapshot()
         t0 = time.perf_counter()
-        rows = algo.get_top_h(session, q.ranking, q.page_size)
-        delta = db.stats.since(before)
+        with db.counting() as cost:
+            rows = algo.get_top_h(session, q.ranking, q.page_size)
         return rows, PageStats(
-            n_queries=delta.n_queries,
+            n_queries=cost.n_queries,
             elapsed_s=time.perf_counter() - t0,
-            n_parallel_queries=delta.n_parallel_queries,
+            n_parallel_queries=cost.n_parallel_queries,
         )

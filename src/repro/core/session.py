@@ -94,22 +94,9 @@ class Session:
         return best
 
     # ----- contexts ------------------------------------------------------
-    def ctx_1d(self, ranking: LinearRanking) -> Context1D:
-        """Frontier state for a 1-D ranking (per ranking signature)."""
-        key = ("1d", ranking.signature())
-        if key not in self._ctx:
-            self._ctx[key] = Context1D()
-        return self._ctx[key]
-
-    def ctx_md(self, ranking: LinearRanking) -> ContextMD:
-        """Certified-box state for an MD ranking."""
-        key = ("md", ranking.signature())
-        if key not in self._ctx:
-            self._ctx[key] = ContextMD()
-        return self._ctx[key]
-
-    def ctx_named(self, kind: str, ranking: LinearRanking, factory):
-        """Generic context slot (used by MD-TA stream state)."""
+    def ctx(self, kind: str, ranking: LinearRanking, factory):
+        """Search progress of one algorithm ``kind`` for one ranking
+        signature, made by ``factory()`` on first use."""
         key = (kind, ranking.signature())
         if key not in self._ctx:
             self._ctx[key] = factory()

@@ -76,45 +76,45 @@ class MDTA(GetNext):
                 st.streams.append(_Stream(r1, Session(session.filter_spec)))
             return st
 
-        return session.ctx_named("ta", ranking, make)
+        return session.ctx("ta", ranking, make)
 
     def get_next(self, session: Session, ranking: LinearRanking) -> Optional[Row]:
         """Deliver the next-best undelivered tuple, or None when exhausted."""
         if len(ranking.attrs) < 2:
             raise ValueError("MD-TA requires >= 2 ranking attributes")
         st = self._state(session, ranking)
-        budget_start = self.db.stats.n_queries
 
         def best_undelivered():
             while st.heap and session.is_delivered(st.heap[0][1]):
                 heapq.heappop(st.heap)
             return st.heap[0][2] if st.heap else None
 
-        while True:
-            best = best_undelivered()
-            tau = sum(
-                ranking.internal_weight(a) * s.frontier
-                for a, s in zip(ranking.attrs, st.streams)
-            )
-            if best is not None and ranking.internal_score(best) < tau - 1e-12:
-                session.absorb([best])
-                return session.deliver(best)
-            live = [s for s in st.streams if not s.exhausted]
-            if not live:
-                if best is None:
-                    return None
-                session.absorb([best])
-                return session.deliver(best)
-            self._check_budget(budget_start, best)
-            # one round of sorted access: advance the laggard stream first
-            stream = min(live, key=lambda s: s.frontier)
-            row = self._engine.get_next(stream.session, stream.ranking)
-            if row is None:
-                stream.exhausted = True
-                stream.frontier = 1.0
-                continue
-            if row["tid"] not in st.seen:
-                st.seen[row["tid"]] = row
-                heapq.heappush(st.heap, (ranking.key(row), row["tid"], row))
-            amap = stream.ranking.attr_map(stream.ranking.attrs[0])
-            stream.frontier = max(stream.frontier, amap.to_unit(row[amap.attr]))
+        with self.db.counting() as cost:
+            while True:
+                best = best_undelivered()
+                tau = sum(
+                    ranking.internal_weight(a) * s.frontier
+                    for a, s in zip(ranking.attrs, st.streams)
+                )
+                if best is not None and ranking.internal_score(best) < tau - 1e-12:
+                    session.absorb([best])
+                    return session.deliver(best)
+                live = [s for s in st.streams if not s.exhausted]
+                if not live:
+                    if best is None:
+                        return None
+                    session.absorb([best])
+                    return session.deliver(best)
+                self._check_budget(cost, best)
+                # one round of sorted access: advance the laggard stream first
+                stream = min(live, key=lambda s: s.frontier)
+                row = self._engine.get_next(stream.session, stream.ranking)
+                if row is None:
+                    stream.exhausted = True
+                    stream.frontier = 1.0
+                    continue
+                if row["tid"] not in st.seen:
+                    st.seen[row["tid"]] = row
+                    heapq.heappush(st.heap, (ranking.key(row), row["tid"], row))
+                amap = stream.ranking.attr_map(stream.ranking.attrs[0])
+                stream.frontier = max(stream.frontier, amap.to_unit(row[amap.attr]))

@@ -52,8 +52,7 @@ def run(spark=None, *, n: int = 2000, h: int = 10, k: int = 10, quick: bool = Fa
         for name, cls in ALGORITHMS_1D.items():
             algo = cls(db, bounds)
             session = Session()
-            before = db.stats.n_queries
-            with Timer() as t:
+            with db.counting() as cost, Timer() as t:
                 got = algo.get_top_h(session, rk, h)
             assert [r["tid"] for r in got] == truth, (source, attr, desc, name)
             rows.append(
@@ -63,7 +62,7 @@ def run(spark=None, *, n: int = 2000, h: int = 10, k: int = 10, quick: bool = Fa
                     "direction": "desc" if desc else "asc",
                     "correlation": corr,
                     "algorithm": name,
-                    "queries": db.stats.n_queries - before,
+                    "queries": cost.n_queries,
                     "seconds": round(t.seconds, 2),
                 }
             )

@@ -46,12 +46,11 @@ def run(spark=None, *, n: int = 2000, h: int = 5, k: int = 10, quick: bool = Fal
         truth = [r["tid"] for r in ground_truth_topk(db, QuerySpec(), rk, h)]
         for name, cls in algos.items():
             algo = cls(db, bounds, max_queries=max_queries)
-            before = db.stats.snapshot()
             try:
-                with Timer() as t:
+                with db.counting() as cost, Timer() as t:
                     got = algo.get_top_h(Session(), rk, h)
                 assert [r["tid"] for r in got] == truth, (fname, name)
-                queries = db.stats.since(before).n_queries
+                queries = cost.n_queries
                 secs = round(t.seconds, 2)
             except BudgetExceeded:
                 queries, secs = f">{max_queries}", float("nan")

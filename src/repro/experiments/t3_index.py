@@ -41,15 +41,14 @@ def run(spark=None, *, n: int = 2000, h: int = 10, k: int = 10, n_sessions: int 
             ("1d-rerank", OneDRerank(db, bounds, dense_index=shared_index)),
             ("1d-binary", OneDBinary(db, bounds)),
         ):
-            before = db.stats.n_queries
-            with Timer() as t:
+            with db.counting() as cost, Timer() as t:
                 got = algo.get_top_h(Session(), rk, h)
             assert [r["tid"] for r in got] == truth, (i, name)
             rows.append(
                 {
                     "session": i + 1,
                     "algorithm": name,
-                    "queries": db.stats.n_queries - before,
+                    "queries": cost.n_queries,
                     "seconds": round(t.seconds, 2),
                     "index_rows": shared_index.n_rows if name == "1d-rerank" else 0,
                 }

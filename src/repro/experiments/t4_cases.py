@@ -48,15 +48,14 @@ def run(spark=None, *, n: int = 2000, h: int = 5, k: int = 10, quick: bool = Fal
         for attempt in ("first run", "re-run (indexed)"):
             algo = MDTA(db, bounds, dense_index=index, max_queries=30000)
             session = Session()
-            before = db.stats.n_queries
-            with Timer() as t:
+            with db.counting() as cost, Timer() as t:
                 got = algo.get_top_h(session, rk, h)
             assert [r["tid"] for r in got] == truth, (label, attempt)
             rows.append(
                 {
                     "case": label,
                     "attempt": attempt,
-                    "queries": db.stats.n_queries - before,
+                    "queries": cost.n_queries,
                     "seconds": round(t.seconds, 2),
                     "indexed_rows": index.n_rows,
                     "db_size": db.true_size(),

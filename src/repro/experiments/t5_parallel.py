@@ -37,22 +37,19 @@ def run(spark=None, *, n: int = 2000, h: int = 10, k: int = 10, quick: bool = Fa
     for label, weights in FUNCS:
         rk = LinearRanking(weights, {a: bounds[a] for a in weights})
         algo = MDRerank(db, bounds, max_queries=10000)
-        before = db.stats.snapshot()
-        with Timer() as t:
+        with db.counting() as cost, Timer() as t:
             got = algo.get_top_h(Session(), rk, h if not quick else 3)
         truth = ground_truth_topk(db, QuerySpec(), rk, h if not quick else 3)
         assert [r["tid"] for r in got] == [r["tid"] for r in truth], label
-        delta = db.stats.since(before)
-        sizes = delta.batch_sizes
         rows.append(
             {
                 "search": label,
                 "dims": len(weights),
-                "total_queries": delta.n_queries,
-                "parallel_queries": delta.n_parallel_queries,
-                "parallel_frac": round(delta.parallel_fraction(), 3),
-                "iterations": len(sizes),
-                "max_batch": max(sizes) if sizes else 0,
+                "total_queries": cost.n_queries,
+                "parallel_queries": cost.n_parallel_queries,
+                "parallel_frac": round(cost.parallel_fraction(), 3),
+                "iterations": len(cost.batch_sizes),
+                "max_batch": max(cost.batch_sizes, default=0),
                 "seconds": round(t.seconds, 2),
             }
         )

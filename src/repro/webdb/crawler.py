@@ -61,58 +61,57 @@ def crawl(
     """Fully enumerate the tuples matching ``spec``.
 
     ``bounds`` supplies attribute domains for unbounded range sides (the
-    service learns them via ``discovery``). Query cost is charged to
-    ``db.stats`` as usual and also reported in the result. Raises
-    :class:`BudgetExceeded` past ``max_queries``.
+    service learns them via ``discovery``). The result's ``n_queries`` is
+    what this crawl sent. Raises :class:`BudgetExceeded` past ``max_queries``.
     """
     res = CrawlResult()
-    before = db.stats.n_queries
-    # level-synchronous BFS: sibling sub-regions are independent, so each
-    # level is one parallel batch (QR2's parallel processing, section II-B)
-    level = [spec]
-    while level:
-        if db.stats.n_queries - before > max_queries:
-            raise BudgetExceeded(db.stats.n_queries - before)
-        level = [s for s in level if not s.is_empty()]
-        if not level:
-            break
-        results = db.query_batch(level)
-        nxt: list[QuerySpec] = []
-        for cur, (rows, overflow) in zip(level, results):
-            for r in rows:
-                res.rows[r[db.id_col]] = r
-            if not overflow:
-                continue
-            numeric = _split_candidates(db, cur, bounds)
-            if numeric:
-                _, a, lo, hi, r = numeric[0]
-                mid = (lo + hi) / 2.0
-                nxt.append(cur.with_range(a, Range(None, mid, hi_incl=True)))
-                nxt.append(cur.with_range(a, Range(mid, None, lo_incl=False)))
-                continue
-            cat = next(
-                (a for a in db.cat_domains if len(cur.cats.get(a, ())) > 1), None
-            )
-            if cat is not None:
-                vals = sorted(cur.cats[cat])
-                half = len(vals) // 2
-                nxt.append(QuerySpec(cur.ranges, {**cur.cats, cat: frozenset(vals[:half])}))
-                nxt.append(QuerySpec(cur.ranges, {**cur.cats, cat: frozenset(vals[half:])}))
-                continue
-            unused_cat = next((a for a in db.cat_domains if a not in cur.cats), None)
-            if unused_cat is not None:
-                # constrain an untouched categorical facet to every option its
-                # search form lists, so it becomes splittable
-                domain = frozenset(db.cat_domains[unused_cat])
-                nxt.append(QuerySpec(cur.ranges, {**cur.cats, unused_cat: domain}))
-                continue
-            got = _peel_with_orders(db, cur, res)
-            if not got:
-                raise CrawlError(
-                    f"region {cur.to_sql()} has more than 2k indistinguishable tuples"
+    with db.counting() as cost:
+        # level-synchronous BFS: sibling sub-regions are independent, so each
+        # level is one parallel batch (QR2's parallel processing, section II-B)
+        level = [spec]
+        while level:
+            if cost.n_queries > max_queries:
+                raise BudgetExceeded(cost.n_queries)
+            level = [s for s in level if not s.is_empty()]
+            if not level:
+                break
+            results = db.query_batch(level)
+            nxt: list[QuerySpec] = []
+            for cur, (rows, overflow) in zip(level, results):
+                for r in rows:
+                    res.rows[r[db.id_col]] = r
+                if not overflow:
+                    continue
+                numeric = _split_candidates(db, cur, bounds)
+                if numeric:
+                    _, a, lo, hi, r = numeric[0]
+                    mid = (lo + hi) / 2.0
+                    nxt.append(cur.with_range(a, Range(None, mid, hi_incl=True)))
+                    nxt.append(cur.with_range(a, Range(mid, None, lo_incl=False)))
+                    continue
+                cat = next(
+                    (a for a in db.cat_domains if len(cur.cats.get(a, ())) > 1), None
                 )
-        level = nxt
-    res.n_queries = db.stats.n_queries - before
+                if cat is not None:
+                    vals = sorted(cur.cats[cat])
+                    half = len(vals) // 2
+                    nxt.append(QuerySpec(cur.ranges, {**cur.cats, cat: frozenset(vals[:half])}))
+                    nxt.append(QuerySpec(cur.ranges, {**cur.cats, cat: frozenset(vals[half:])}))
+                    continue
+                unused_cat = next((a for a in db.cat_domains if a not in cur.cats), None)
+                if unused_cat is not None:
+                    # constrain an untouched categorical facet to every option its
+                    # search form lists, so it becomes splittable
+                    domain = frozenset(db.cat_domains[unused_cat])
+                    nxt.append(QuerySpec(cur.ranges, {**cur.cats, unused_cat: domain}))
+                    continue
+                got = _peel_with_orders(db, cur, res)
+                if not got:
+                    raise CrawlError(
+                        f"region {cur.to_sql()} has more than 2k indistinguishable tuples"
+                    )
+            level = nxt
+    res.n_queries = cost.n_queries
     return res
 
 

@@ -18,40 +18,34 @@ from .interface import WebDB
 from .predicates import QuerySpec, Range
 
 
-def discover_min(db: WebDB, attr: str, base: QuerySpec = QuerySpec()) -> float:
-    """Exact minimum of ``attr`` over tuples matching ``base``.
+def _discover(db: WebDB, attr: str, base: QuerySpec, pick) -> float:
+    """Exact ``pick`` (``min`` or ``max``) of ``attr`` over tuples matching ``base``.
 
-    Narrow an exclusive upper bound to the smallest value returned until the
-    query underflows; when the database's own ranking correlates with
-    ``attr`` this takes O(1) queries, and O(n/k) when anti-correlated —
+    Narrow an exclusive bound to the most extreme value returned until the
+    query underflows; when the database's own ranking correlates with the
+    direction this takes O(1) queries, and O(n/k) when anti-correlated —
     exactly the 1D narrowing cost profile.
     """
     rows, _ = db.query(base)
     if not rows:
         raise ValueError(f"no tuples match {base.to_sql()}")
-    best = min(r[attr] for r in rows)
     while True:
-        rows, overflow = db.query(base.with_range(attr, Range(None, best, hi_incl=False)))
-        if not rows:
-            return float(best)
-        best = min(r[attr] for r in rows)
+        best = pick(r[attr] for r in rows)
+        beyond = (Range(None, best, hi_incl=False) if pick is min
+                  else Range(best, None, lo_incl=False))
+        rows, overflow = db.query(base.with_range(attr, beyond))
         if not overflow:
-            return float(best)
+            return float(pick((r[attr] for r in rows), default=best))
+
+
+def discover_min(db: WebDB, attr: str, base: QuerySpec = QuerySpec()) -> float:
+    """Exact minimum of ``attr`` over tuples matching ``base``."""
+    return _discover(db, attr, base, min)
 
 
 def discover_max(db: WebDB, attr: str, base: QuerySpec = QuerySpec()) -> float:
     """Exact maximum of ``attr`` over tuples matching ``base``."""
-    rows, _ = db.query(base)
-    if not rows:
-        raise ValueError(f"no tuples match {base.to_sql()}")
-    best = max(r[attr] for r in rows)
-    while True:
-        rows, overflow = db.query(base.with_range(attr, Range(best, None, lo_incl=False)))
-        if not rows:
-            return float(best)
-        best = max(r[attr] for r in rows)
-        if not overflow:
-            return float(best)
+    return _discover(db, attr, base, max)
 
 
 def discover_bounds(

@@ -18,13 +18,18 @@ Two implementations share the contract:
 ``query_batch`` executes several queries as one *iteration*, recording the
 batch size — QR2's parallel-processing statistic (Fig. 2). For Spark the
 batch genuinely runs concurrently (thread pool over Spark actions).
+
+``counting()`` decides which queries belong to one request: those the
+calling thread sends inside the block, so concurrent users each see their own.
 """
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import pandas as pd
 
@@ -33,6 +38,9 @@ from .ranking import SystemRanking
 
 Row = dict
 QueryResult = tuple[list[Row], bool]  # (top-k rows, overflow flag)
+
+#: worker threads SparkWebDB runs one batch's Spark actions on
+SPARK_BATCH_THREADS = 8
 
 
 class BudgetExceeded(RuntimeError):
@@ -64,16 +72,10 @@ class QueryStats:
         """Fraction of all queries issued in parallel batches (Fig. 2 metric)."""
         return self.n_parallel_queries / self.n_queries if self.n_queries else 0.0
 
-    def snapshot(self) -> "QueryStats":
-        """Copy for before/after cost accounting."""
-        return QueryStats(self.n_queries, list(self.batch_sizes))
-
-    def since(self, before: "QueryStats") -> "QueryStats":
-        """Delta between this snapshot and an earlier one."""
-        return QueryStats(
-            self.n_queries - before.n_queries,
-            self.batch_sizes[len(before.batch_sizes):],
-        )
+    def charge(self, batch_size: int) -> None:
+        """Count one iteration of ``batch_size`` queries."""
+        self.n_queries += batch_size
+        self.batch_sizes.append(batch_size)
 
 
 class WebDB(ABC):
@@ -96,7 +98,32 @@ class WebDB(ABC):
         self.numeric_attrs = list(numeric_attrs)
         #: categorical facet -> the options its search form lists
         self.cat_domains = {a: list(opts) for a, opts in cat_domains.items()}
+        #: every query this database has answered, from all threads
         self.stats = QueryStats()
+        self._stats_lock = threading.Lock()
+        self._open = threading.local()  # .blocks: this thread's counting() stack
+
+    # ----- cost accounting ------------------------------------------------
+    @contextmanager
+    def counting(self) -> Iterator[QueryStats]:
+        """Count the queries the calling thread sends inside the block.
+
+        Yields a fresh :class:`QueryStats`; blocks nest, and each open one
+        is charged. Queries from other threads never reach it.
+        """
+        blocks = vars(self._open).setdefault("blocks", [])
+        cost = QueryStats()
+        blocks.append(cost)
+        try:
+            yield cost
+        finally:
+            blocks.pop()  # one thread's blocks close innermost first
+
+    def _charge(self, batch_size: int) -> None:
+        with self._stats_lock:
+            self.stats.charge(batch_size)
+        for cost in getattr(self._open, "blocks", ()):
+            cost.charge(batch_size)
 
     # ----- the public interface -----------------------------------------
     def query(self, spec: QuerySpec, order: Optional[tuple[str, str]] = None) -> QueryResult:
@@ -108,8 +135,7 @@ class WebDB(ABC):
         Returns (rows, overflow); ``overflow`` is True when strictly more
         than ``k`` tuples match.
         """
-        self.stats.n_queries += 1
-        self.stats.batch_sizes.append(1)
+        self._charge(1)
         return self._execute(spec, order)
 
     def query_batch(
@@ -118,8 +144,7 @@ class WebDB(ABC):
         """Issue several queries as one parallel iteration (QR2 section II-B)."""
         if not specs:
             return []
-        self.stats.n_queries += len(specs)
-        self.stats.batch_sizes.append(len(specs))
+        self._charge(len(specs))
         return self._execute_batch(list(specs), order)
 
     # ----- implementation hooks -----------------------------------------
@@ -213,7 +238,6 @@ class SparkWebDB(WebDB):
         system_ranking: SystemRanking,
         numeric_attrs: Sequence[str],
         cat_domains: Mapping[str, Sequence] = {},
-        n_threads: int = 8,
     ):
         super().__init__(name, k, system_ranking, numeric_attrs, cat_domains)
         if self.id_col not in df.columns:
@@ -223,7 +247,7 @@ class SparkWebDB(WebDB):
         # exercising the parallel TakeOrderedAndProject path
         self.df = df.coalesce(4).cache()
         self._n = self.df.count()  # materialises the cache
-        self._pool = ThreadPoolExecutor(max_workers=n_threads)
+        self._pool = ThreadPoolExecutor(max_workers=SPARK_BATCH_THREADS)
 
     def _execute(self, spec: QuerySpec, order) -> QueryResult:
         from pyspark.sql import functions as F

@@ -1,4 +1,7 @@
 """Unit tests for the top-k interface semantics (pandas backend)."""
+import sys
+import threading
+
 import pandas as pd
 import pytest
 
@@ -120,13 +123,51 @@ class TestStats:
         assert st.n_parallel_queries == 8
         assert st.parallel_fraction() == pytest.approx(0.8)
 
-    def test_since_snapshot(self, tiny_db):
+    def test_counting_blocks_nest_per_thread(self, tiny_db):
         tiny_db.query(QuerySpec())
-        before = tiny_db.stats.snapshot()
-        tiny_db.query_batch([QuerySpec(), QuerySpec()])
-        delta = tiny_db.stats.since(before)
-        assert delta.n_queries == 2
-        assert delta.batch_sizes == [2]
+        with tiny_db.counting() as outer:
+            tiny_db.query_batch([QuerySpec(), QuerySpec()])
+            with tiny_db.counting() as inner:
+                tiny_db.query(QuerySpec())
+                other = threading.Thread(target=tiny_db.query_batch, args=([QuerySpec()] * 3,))
+                other.start()
+                other.join()
+            tiny_db.query(QuerySpec())
+        tiny_db.query(QuerySpec())
+        assert (inner.n_queries, inner.batch_sizes) == (1, [1])
+        assert (outer.n_queries, outer.batch_sizes) == (4, [2, 1, 1])
+        assert tiny_db.stats.n_queries == 1 + 2 + 1 + 3 + 1 + 1
+        assert tiny_db.stats.batch_sizes == [1, 2, 1, 3, 1, 1]
+
+    def test_counting_stress_no_lost_updates(self, tiny_db):
+        """More threads than cores, each counting its own queries, with the
+        interpreter switching threads as often as it can."""
+        n_threads, n_calls = 8, 100
+        counted = {}
+
+        def user(i):
+            with tiny_db.counting() as cost:
+                for j in range(n_calls):
+                    if j % 2:
+                        tiny_db.query(QuerySpec())
+                    else:
+                        tiny_db.query_batch([QuerySpec(), QuerySpec()])
+            counted[i] = (cost.n_queries, len(cost.batch_sizes))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=user, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert counted == {i: (3 * n_calls // 2, n_calls) for i in range(n_threads)}
+        assert tiny_db.stats.n_queries == n_threads * 3 * n_calls // 2
+        assert len(tiny_db.stats.batch_sizes) == n_threads * n_calls
 
     def test_true_metadata(self, tiny_db):
         assert tiny_db.true_size() == 8

@@ -1,7 +1,12 @@
 """Import boundary: the service side never imports the hidden database's
 generator. The algorithms and the crawler learn facet options from the
 search form (``WebDB.cat_domains``) and extents through discovery, as a
-third-party service over a real site must."""
+third-party service over a real site must.
+
+Cost boundary: only ``webdb/interface.py`` touches a database's lifetime
+query counter (``WebDB.stats``); everything else counts a request's site
+queries with a ``WebDB.counting()`` block, which stays right when users
+run concurrently."""
 import ast
 import pathlib
 
@@ -39,3 +44,15 @@ def test_service_side_files_found():
 def test_no_generator_import(path):
     bad = {m for m in _imports(path) if m == "repro.synth_data" or m.startswith("repro.synth_data.")}
     assert not bad, f"{path.name} imports {sorted(bad)}"
+
+
+def test_stats_read_only_in_interface():
+    interface = SRC / "webdb" / "interface.py"
+    readers = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path != interface
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "stats"
+    ]
+    assert not readers, f"read WebDB.stats; use WebDB.counting(): {readers}"

@@ -49,11 +49,10 @@ def _run(db, algo_cls, weights, *, h=5, spec=QuerySpec(), **kw):
     kw.setdefault("max_queries", 4000)
     algo = algo_cls(db, bounds, **kw)
     session = Session(spec)
-    before = db.stats.snapshot()
-    got = algo.get_top_h(session, rk, h)
-    delta = db.stats.since(before)
+    with db.counting() as cost:
+        got = algo.get_top_h(session, rk, h)
     truth = ground_truth_topk(db, spec, rk, h)
-    return got, truth, delta, session, algo, rk
+    return got, truth, cost, session, algo, rk
 
 
 class TestExactness:
@@ -144,13 +143,13 @@ class TestBehaviour:
 
     def test_binary_parallel_batches(self, bluenile):
         """BSP iterations issue several boxes at once (Fig. 2 behaviour)."""
-        _, _, delta, _, _, _ = _run(bluenile, MDBinary, {"price": 1.0, "carat": -0.5})
-        assert delta.parallel_fraction() > 0.5
+        _, _, cost, _, _, _ = _run(bluenile, MDBinary, {"price": 1.0, "carat": -0.5})
+        assert cost.parallel_fraction() > 0.5
 
     def test_baseline_mostly_sequential(self, bluenile):
         """Contour narrowing issues one broad query at a time."""
-        _, _, delta, _, _, _ = _run(bluenile, MDBaseline, {"price": 1.0, "carat": 0.3})
-        assert delta.parallel_fraction() < 0.7
+        _, _, cost, _, _, _ = _run(bluenile, MDBaseline, {"price": 1.0, "carat": 0.3})
+        assert cost.parallel_fraction() < 0.7
 
     def test_rejects_1d_ranking(self, bluenile):
         bounds = _bounds(bluenile)

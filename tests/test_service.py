@@ -1,4 +1,6 @@
 """End-to-end tests for the QR2 service facade."""
+import threading
+
 import pytest
 
 from repro.core.rerank_op import ground_truth_topk
@@ -103,6 +105,53 @@ class TestStatisticsPanel:
         rk = service.ranking_md("bluenile", {"price": 1.0, "depth": -0.5})
         _, _, stats = service.submit(UserQuery("bluenile", QuerySpec(), rk, 5))
         assert stats.n_parallel_queries > 0
+
+
+class TestConcurrentUsers:
+    def test_each_user_panel_equals_solo_run(self):
+        """Two users on one service submit at the same moment (one MD, one
+        1-D search) and page on; each page's panel shows exactly the cost
+        of the same search run alone."""
+        db = sources.bluenile(n=3000, k=25)
+        bounds = {a: db.true_domain(a) for a in db.numeric_attrs}
+
+        def fresh_service():
+            svc = QR2Service()
+            svc.register_source(db, bounds=bounds)
+            return svc
+
+        svc = fresh_service()
+        queries = {
+            "md": UserQuery("bluenile", QuerySpec(), svc.ranking_md("bluenile", {"price": 1.0, "carat": -0.3}), 10),
+            "1d": UserQuery("bluenile", QuerySpec(), svc.ranking_1d("bluenile", "carat", descending=True), 10),
+        }
+
+        def pages(svc, q):
+            sid, rows, first = svc.submit(q)
+            more, second = svc.get_next_page(sid)
+            return _ids(rows + more), [first, second]
+
+        def panels(run):
+            ids, stats = run
+            return ids, [(s.n_queries, s.n_parallel_queries) for s in stats]
+
+        solo = {name: panels(pages(fresh_service(), q)) for name, q in queries.items()}
+        barrier = threading.Barrier(len(queries))
+        together = {}
+
+        def user(name):
+            barrier.wait()
+            together[name] = panels(pages(svc, queries[name]))
+
+        threads = [threading.Thread(target=user, args=(name,)) for name in queries]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert together == solo
+        for name, q in queries.items():
+            assert solo[name][0] == _ids(ground_truth_topk(db, QuerySpec(), q.ranking, 20))
 
 
 class TestCachePersistence:

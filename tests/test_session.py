@@ -1,6 +1,6 @@
 """Tests for per-user session state."""
 from repro.core.geometry import Box
-from repro.core.session import Session
+from repro.core.session import Context1D, ContextMD, Session
 from repro.webdb.predicates import QuerySpec, Range
 from repro.webdb.ranking import LinearRanking, one_d
 
@@ -53,19 +53,20 @@ class TestPool:
 class TestContexts:
     def test_ctx_1d_identity_per_signature(self):
         s = Session()
-        c1 = s.ctx_1d(RK)
+        c1 = s.ctx("1d", RK, Context1D)
         c1.frontier = 0.5
-        assert s.ctx_1d(one_d("x", (0.0, 10.0))).frontier == 0.5  # same signature
-        assert s.ctx_1d(one_d("x", (0.0, 10.0), descending=True)).frontier == 0.0
+        assert s.ctx("1d", one_d("x", (0.0, 10.0)), Context1D).frontier == 0.5  # same signature
+        assert s.ctx("1d", one_d("x", (0.0, 10.0), descending=True), Context1D).frontier == 0.0
+        assert s.ctx("md", RK, ContextMD) is not c1  # kinds never share a slot
 
     def test_ctx_1d_defaults(self):
-        c = Session().ctx_1d(RK)
+        c = Session().ctx("1d", RK, Context1D)
         assert c.frontier == 0.0 and c.started is False
 
     def test_ctx_md_certified(self):
         s = Session()
         rk = LinearRanking({"a": 1.0, "b": 1.0}, {"a": (0, 1), "b": (0, 1)})
-        ctx = s.ctx_md(rk)
+        ctx = s.ctx("md", rk, ContextMD)
         big = Box.unit(["a", "b"])
         small = Box(("a", "b"), (Range(0.1, 0.2), Range(0.1, 0.2)))
         ctx.add(small)
@@ -79,8 +80,8 @@ class TestContexts:
         s = Session()
         made = []
         f = lambda: made.append(1) or {"n": len(made)}
-        a = s.ctx_named("ta", RK, f)
-        b = s.ctx_named("ta", RK, f)
+        a = s.ctx("ta", RK, f)
+        b = s.ctx("ta", RK, f)
         assert a is b and made == [1]
 
     def test_filter_spec_stored(self):
