@@ -106,7 +106,7 @@ class DenseIndex:
             shutil.rmtree(rows_path)
 
     @staticmethod
-    def load(spark, path: str, *, id_col: str = "tid") -> "DenseIndex":
+    def load(spark, path: str) -> "DenseIndex":
         """Rebuild an index previously written by :meth:`save`."""
         with open(os.path.join(path, "regions.json")) as fh:
             meta = json.load(fh)
@@ -117,7 +117,7 @@ class DenseIndex:
             for r in spark.read.parquet(rows_path).collect():
                 d = r.asDict()
                 e = idx.entries[d.pop("_entry")]
-                e.rows[d[id_col]] = d
+                e.rows[d["tid"]] = d
         return idx
 
     def verify_against(self, db: WebDB, bounds: Mapping[str, tuple[float, float]]) -> int:

@@ -63,9 +63,7 @@ class MDAlgorithm(GetNext):
             raise ValueError("MD algorithm requires >= 2 ranking attributes")
         ctx = session.ctx("md", ranking, ContextMD)
         w = {d: ranking.internal_weight(d) for d in ranking.attrs}
-        best = session.best_undelivered(
-            ranking, session.pool.values(), session.filter_spec
-        )
+        best = session.best_undelivered(ranking)
         queue: list[Box] = [Box.unit(ranking.attrs)]
         with self.db.counting() as cost:
             while queue:
@@ -125,9 +123,7 @@ class MDAlgorithm(GetNext):
                         ctx.add(box)
                         continue
                     queue.extend(self._narrow(box, ranking, best_s))
-                best = session.best_undelivered(
-                    ranking, session.pool.values(), session.filter_spec
-                )
+                best = session.best_undelivered(ranking)
         if best is None:
             return None
         return session.deliver(best)

@@ -66,17 +66,16 @@ class OneDAlgorithm(GetNext):
         return ranking.attrs[0]
 
     def _pool_candidate(self, session, ranking, ctx) -> Optional[Row]:
-        """Best undelivered pool row at or below the frontier (0 queries)."""
+        """Best undelivered pool row at or below the frontier (0 queries): the
+        pool's best row, since one attribute's score is monotone in its unit
+        value, ties included."""
         if not ctx.started:
             return None
+        best = session.best_undelivered(ranking)
         amap = ranking.attr_map(self._attr(ranking))
-        rows = [
-            r
-            for r in session.pool.values()
-            if amap.to_unit(r[amap.attr]) <= ctx.frontier + 1e-12
-            and session.filter_spec.matches(r)
-        ]
-        return session.best_undelivered(ranking, rows)
+        if best is None or amap.to_unit(best[amap.attr]) > ctx.frontier + 1e-12:
+            return None
+        return best
 
     def _interval_spec(self, session, ranking, r: Range) -> QuerySpec:
         amap = ranking.attr_map(self._attr(ranking))

@@ -24,6 +24,10 @@ from .onedim import OneDRerank
 from .session import Session
 from .ta import MDTA
 
+#: dense-region width below which the service's RERANK and MD-TA crawl an
+#: overflowing region into the shared dense index
+DELTA = 0.05
+
 
 @dataclass
 class PageStats:
@@ -47,12 +51,11 @@ class UserQuery:
 class QR2Service:
     """The third-party reranking service over registered web databases."""
 
-    def __init__(self, *, md_algorithm: str = "md-rerank", delta: float = 0.05):
+    def __init__(self, *, md_algorithm: str = "md-rerank"):
         self.dbs: dict[str, WebDB] = {}
         self.bounds: dict[str, dict] = {}
         self.indexes: dict[str, DenseIndex] = {}
         self.md_algorithm = md_algorithm
-        self.delta = delta
         self._sessions: dict[int, tuple[UserQuery, Session, object]] = {}
         self._sids = itertools.count(1)
 
@@ -112,10 +115,10 @@ class QR2Service:
         bounds = self.bounds[db.name]
         idx = self.indexes[db.name]
         if len(ranking.attrs) == 1:
-            return OneDRerank(db, bounds, dense_index=idx, delta=self.delta)
+            return OneDRerank(db, bounds, dense_index=idx, delta=DELTA)
         if self.md_algorithm == "md-ta":
-            return MDTA(db, bounds, dense_index=idx, delta=self.delta)
-        return MDRerank(db, bounds, dense_index=idx, delta=self.delta)
+            return MDTA(db, bounds, dense_index=idx, delta=DELTA)
+        return MDRerank(db, bounds, dense_index=idx, delta=DELTA)
 
     def submit(self, q: UserQuery) -> tuple[int, list[Row], PageStats]:
         """Process a new user query; returns (session id, first page, stats)."""

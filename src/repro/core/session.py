@@ -7,8 +7,9 @@ subsequent get-next calls reuse earlier work instead of re-querying.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Optional
 
 from ..webdb.interface import Row
 from ..webdb.predicates import QuerySpec
@@ -52,9 +53,13 @@ class Session:
 
     def __init__(self, filter_spec: QuerySpec = QuerySpec()):
         self.filter_spec = filter_spec
-        self.pool: dict = {}  # tid -> row, every tuple ever fetched
+        self.pool: dict = {}  # tid -> row, every tuple ever fetched (first copy)
         self.delivered_ids: list = []  # in delivery order (the served ranking)
         self._delivered_set: set = set()  # membership mirror of delivered_ids
+        #: ranking signature -> (ranking, min-heap of (key, row)) over the pool
+        #: rows matching ``filter_spec``; each tid is in each heap once, and
+        #: delivered entries are popped when they reach the top
+        self._heaps: dict = {}
         self._ctx: dict = {}  # (kind, ranking signature) -> context
         #: deterministic response cache (spec SQL -> (rows, overflow)): the
         #: paper's session variable re-uses already-seen responses so
@@ -63,35 +68,42 @@ class Session:
 
     # ----- pool ----------------------------------------------------------
     def absorb(self, rows) -> None:
-        """Add fetched rows to the pool."""
+        """Add fetched rows to the pool; a tuple already there keeps its first copy."""
         for r in rows:
+            if r["tid"] in self.pool:
+                continue
             self.pool[r["tid"]] = r
+            if self._heaps and self.filter_spec.matches(r):
+                for ranking, heap in self._heaps.values():
+                    heapq.heappush(heap, (ranking.key(r), r))
 
     def is_delivered(self, tid) -> bool:
         """Has this tuple already been returned to the user?"""
         return tid in self._delivered_set
 
     def deliver(self, row: Row) -> Row:
-        """Mark a tuple as returned to the user (the get-next output)."""
-        self.pool[row["tid"]] = row
+        """Mark a pool tuple as returned to the user (the get-next output)."""
         self.delivered_ids.append(row["tid"])
         self._delivered_set.add(row["tid"])
         return row
 
-    def best_undelivered(
-        self, ranking: LinearRanking, rows, spec: Optional[QuerySpec] = None
-    ) -> Optional[Row]:
-        """Minimum-(score, tid) undelivered row, optionally within ``spec``."""
-        seen = self._delivered_set
-        best = None
-        for r in rows:
-            if r["tid"] in seen:
-                continue
-            if spec is not None and not spec.matches(r):
-                continue
-            if best is None or ranking.key(r) < ranking.key(best):
-                best = r
-        return best
+    def best_undelivered(self, ranking: LinearRanking) -> Optional[Row]:
+        """Minimum-(score, tid) undelivered pool row within ``filter_spec``.
+
+        The one place that picks a get-next candidate. The ranking's heap is
+        built from the pool on first use and kept up to date by ``absorb``.
+        """
+        sig = ranking.signature()
+        if sig not in self._heaps:
+            heap = [
+                (ranking.key(r), r) for r in self.pool.values() if self.filter_spec.matches(r)
+            ]
+            heapq.heapify(heap)
+            self._heaps[sig] = (ranking, heap)
+        heap = self._heaps[sig][1]
+        while heap and heap[0][1]["tid"] in self._delivered_set:
+            heapq.heappop(heap)
+        return heap[0][1] if heap else None
 
     # ----- contexts ------------------------------------------------------
     def ctx(self, kind: str, ranking: LinearRanking, factory):

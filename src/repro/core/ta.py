@@ -9,13 +9,13 @@ the classic TA threshold: once the best undelivered score is below
 axes), no unseen tuple can do better.
 
 Stream state persists in the session, so subsequent get-next calls resume
-the streams instead of restarting — often answering from already-streamed
-tuples with zero queries.
+the streams instead of restarting. Every streamed tuple goes into the
+user's session pool, whose ``best_undelivered`` is the TA candidate, so a
+later get-next often answers from already-streamed tuples with zero queries.
 """
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from ..webdb.interface import Row, WebDB
@@ -34,18 +34,6 @@ class _Stream:
     session: Session
     frontier: float = 0.0
     exhausted: bool = False
-
-
-@dataclass
-class _TAState:
-    """Per-(ranking signature) TA progress kept in the user's session."""
-
-    streams: list = field(default_factory=list)
-    seen: dict = field(default_factory=dict)  # tid -> row, union of streams
-    #: lazy min-heap of (ranking key, tid, row) over all streamed tuples;
-    #: delivered entries are popped on access (keeps each TA round O(log n)
-    #: instead of rescanning every seen tuple)
-    heap: list = field(default_factory=list)
 
 
 class MDTA(GetNext):
@@ -68,43 +56,30 @@ class MDTA(GetNext):
         self.max_queries = max_queries
         self._engine = OneDRerank(db, bounds, dense_index=self.dense_index, delta=delta)
 
-    def _state(self, session: Session, ranking: LinearRanking) -> _TAState:
-        def make():
-            st = _TAState()
-            for a in ranking.attrs:
-                r1 = one_d(a, ranking.bounds[a], descending=ranking.weights[a] < 0)
-                st.streams.append(_Stream(r1, Session(session.filter_spec)))
-            return st
-
-        return session.ctx("ta", ranking, make)
-
     def get_next(self, session: Session, ranking: LinearRanking) -> Optional[Row]:
         """Deliver the next-best undelivered tuple, or None when exhausted."""
         if len(ranking.attrs) < 2:
             raise ValueError("MD-TA requires >= 2 ranking attributes")
-        st = self._state(session, ranking)
-
-        def best_undelivered():
-            while st.heap and session.is_delivered(st.heap[0][1]):
-                heapq.heappop(st.heap)
-            return st.heap[0][2] if st.heap else None
-
+        # one sorted-access stream per attribute, kept in the user's session
+        streams = session.ctx("ta", ranking, lambda: [
+            _Stream(
+                one_d(a, ranking.bounds[a], descending=ranking.weights[a] < 0),
+                Session(session.filter_spec),
+            )
+            for a in ranking.attrs
+        ])
         with self.db.counting() as cost:
             while True:
-                best = best_undelivered()
+                best = session.best_undelivered(ranking)
                 tau = sum(
                     ranking.internal_weight(a) * s.frontier
-                    for a, s in zip(ranking.attrs, st.streams)
+                    for a, s in zip(ranking.attrs, streams)
                 )
                 if best is not None and ranking.internal_score(best) < tau - 1e-12:
-                    session.absorb([best])
                     return session.deliver(best)
-                live = [s for s in st.streams if not s.exhausted]
+                live = [s for s in streams if not s.exhausted]
                 if not live:
-                    if best is None:
-                        return None
-                    session.absorb([best])
-                    return session.deliver(best)
+                    return None if best is None else session.deliver(best)
                 self._check_budget(cost, best)
                 # one round of sorted access: advance the laggard stream first
                 stream = min(live, key=lambda s: s.frontier)
@@ -113,8 +88,6 @@ class MDTA(GetNext):
                     stream.exhausted = True
                     stream.frontier = 1.0
                     continue
-                if row["tid"] not in st.seen:
-                    st.seen[row["tid"]] = row
-                    heapq.heappush(st.heap, (ranking.key(row), row["tid"], row))
+                session.absorb([row])
                 amap = stream.ranking.attr_map(stream.ranking.attrs[0])
                 stream.frontier = max(stream.frontier, amap.to_unit(row[amap.attr]))

@@ -6,7 +6,10 @@ third-party service over a real site must.
 Cost boundary: only ``webdb/interface.py`` touches a database's lifetime
 query counter (``WebDB.stats``); everything else counts a request's site
 queries with a ``WebDB.counting()`` block, which stays right when users
-run concurrently."""
+run concurrently.
+
+Candidate boundary: only ``core/session.py`` reads a session's pool; the
+algorithms take their next candidate from ``Session.best_undelivered``."""
 import ast
 import pathlib
 
@@ -56,3 +59,15 @@ def test_stats_read_only_in_interface():
         if isinstance(node, ast.Attribute) and node.attr == "stats"
     ]
     assert not readers, f"read WebDB.stats; use WebDB.counting(): {readers}"
+
+
+def test_pool_read_only_in_session():
+    session = SRC / "core" / "session.py"
+    readers = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted((SRC / "core").glob("*.py"))
+        if path != session
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "pool"
+    ]
+    assert not readers, f"read Session.pool; use Session.best_undelivered: {readers}"

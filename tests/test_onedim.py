@@ -5,11 +5,13 @@ ground-truth ranking computed over the full hidden table (which the
 algorithms can only access through the top-k interface).
 """
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dense_index import DenseIndex
 from repro.core.onedim import ALGORITHMS_1D, OneDBaseline, OneDBinary, OneDRerank
 from repro.core.rerank_op import ground_truth_topk
-from repro.core.session import Session
+from repro.core.session import Context1D, Session
 from repro.webdb import sources
 from repro.webdb.predicates import QuerySpec, Range
 from repro.webdb.ranking import one_d
@@ -180,3 +182,48 @@ class TestValidation:
         before = db.stats.n_queries
         assert algo.get_next(s, rk) is None
         assert db.stats.n_queries == before
+
+
+def _filtered_min_below_frontier(session, ranking, ctx):
+    """Reference: the undelivered minimum over the pool rows at or below the
+    frontier that match the filter."""
+    if not ctx.started:
+        return None
+    amap = ranking.attr_map(ranking.attrs[0])
+    rows = [
+        r
+        for r in session.pool.values()
+        if amap.to_unit(r[amap.attr]) <= ctx.frontier + 1e-12
+        and session.filter_spec.matches(r)
+        and not session.is_delivered(r["tid"])
+    ]
+    return min(rows, key=ranking.key, default=None)
+
+
+class TestPoolCandidateProperty:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        values=st.lists(st.floats(0.3, 7.1), min_size=1, max_size=4),
+        picks=st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.booleans()), max_size=25),
+        descending=st.booleans(),
+        frontier=st.one_of(st.floats(0.0, 1.0), st.integers(0, 3)),
+    )
+    def test_heap_top_equals_filtered_min(self, values, picks, descending, frontier):
+        """Random pools with duplicate values, some rows delivered and some
+        outside the filter; frontiers anywhere, or exactly on a row's value."""
+        rk = one_d("x", (0.3, 7.1), descending=descending)
+        amap = rk.attr_map("x")
+        s = Session(QuerySpec({"y": Range(None, 0.5)}))
+        rows = [
+            {"tid": tid, "x": values[i % len(values)], "y": float(out)}
+            for tid, (i, out, _) in enumerate(picks, 1)
+        ]
+        s.absorb(rows)
+        for r, (_, _, delivered) in zip(rows, picks):
+            if delivered:
+                s.deliver(r)
+        if isinstance(frontier, int):
+            frontier = amap.to_unit(values[frontier % len(values)])
+        ctx = Context1D(frontier=frontier, started=True)
+        algo = OneDBinary(None, {})
+        assert algo._pool_candidate(s, rk, ctx) is _filtered_min_below_frontier(s, rk, ctx)

@@ -1,4 +1,7 @@
 """Tests for per-user session state."""
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.geometry import Box
 from repro.core.session import Context1D, ContextMD, Session
 from repro.webdb.predicates import QuerySpec, Range
@@ -36,19 +39,55 @@ class TestPool:
         s = Session()
         rows = _rows(5, 1, 3)
         s.absorb(rows)
-        assert s.best_undelivered(RK, rows)["x"] == 1.0
+        assert s.best_undelivered(RK)["x"] == 1.0
         s.deliver(rows[1])
-        assert s.best_undelivered(RK, rows)["x"] == 3.0
+        assert s.best_undelivered(RK)["x"] == 3.0
 
     def test_best_undelivered_respects_spec(self):
-        s = Session()
-        rows = _rows(1, 2, 3)
-        best = s.best_undelivered(RK, rows, QuerySpec({"x": Range(1.5, None)}))
-        assert best["x"] == 2.0
+        s = Session(QuerySpec({"x": Range(1.5, None)}))
+        s.absorb(_rows(1, 2, 3))
+        assert s.best_undelivered(RK)["x"] == 2.0
 
     def test_best_undelivered_empty(self):
-        assert Session().best_undelivered(RK, []) is None
+        assert Session().best_undelivered(RK) is None
 
+
+#: a ranking over x, both directions, with many duplicate values; the
+#: filter is on a second attribute y
+XS = st.sampled_from([0.0, 1.0, 1.0, 2.5, 4.0])
+RANKINGS = [one_d("x", (0.0, 4.0)), one_d("x", (0.0, 4.0), descending=True)]
+FILTERS = [QuerySpec(), QuerySpec({"y": Range(1.0, None)}), QuerySpec({"y": Range(None, 1.0, hi_incl=False)})]
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("absorb"), st.integers(1, 8), XS, st.integers(0, 2)),
+        st.tuples(st.just("deliver"), st.integers(0, 7)),
+    ),
+    max_size=40,
+)
+
+
+class TestPoolProperty:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(ops=OPS, spec=st.sampled_from(FILTERS), late=st.integers(0, 40))
+    def test_best_undelivered_is_brute_force_min(self, ops, spec, late):
+        """Random absorb / re-absorb / deliver sequences: the heap answer is
+        the minimum over the undelivered pool rows that match the filter.
+        The second ranking's heap is first built after ``late`` steps."""
+        s = Session(spec)
+        first = {}  # tid -> first absorbed copy, what the pool must keep
+        for step, op in enumerate(ops):
+            if op[0] == "absorb":
+                _, tid, x, y = op
+                row = {"tid": tid, "x": x, "y": float(y)}  # a fresh dict, also for a known tid
+                first.setdefault(tid, row)
+                s.absorb([row])
+            elif first:
+                s.deliver(first[sorted(first)[op[1] % len(first)]])
+            assert all(s.pool[t] is r for t, r in first.items()) and len(s.pool) == len(first)
+            for rk in RANKINGS if step >= late else RANKINGS[:1]:
+                live = [r for r in first.values() if not s.is_delivered(r["tid"]) and spec.matches(r)]
+                expect = min(live, key=rk.key, default=None)
+                assert s.best_undelivered(rk) is expect
 
 class TestContexts:
     def test_ctx_1d_identity_per_signature(self):
