@@ -60,6 +60,11 @@ class Box:
         """Lowest achievable internal score inside the box (all w >= 0)."""
         return sum(w * c for w, c in zip((weights[d] for d in self.dims), self._lo_corner()))
 
+    def max_score(self, weights: Mapping[str, float]) -> float:
+        """Highest achievable internal score inside the box (all w >= 0)."""
+        hi_corner = (1.0 if r.hi is None else min(1.0, r.hi) for r in self.ranges)
+        return sum(weights[d] * c for d, c in zip(self.dims, hi_corner))
+
     # ----- transforms ----------------------------------------------------
     def split(self, dim_idx: int, at: float) -> tuple["Box", "Box"]:
         """Binary split of one dimension at ``at`` into (<=at, >at) halves."""

@@ -5,9 +5,11 @@ attributes; internally a minimisation over the unit cube with non-negative
 weights (axis flips for negative sliders — section II-C's [-1,1] sliders).
 
 The search keeps a work-queue of boxes covering the not-yet-ruled-out part
-of the space. Every loop iteration queries **all** live boxes as one
-parallel batch — QR2's parallel processing (section II-B); the per-iteration
-batch sizes feed the Fig. 2 statistic. A box is retired when it
+of the space. Every loop iteration queries the live boxes as one parallel
+batch — QR2's parallel processing (section II-B); the per-iteration batch
+sizes feed the Fig. 2 statistic. A box wholly behind the live box with the
+lowest maximum score waits for the next iteration instead, since a tuple
+found there may prune it. A box is retired when it
 
 * is *certified* — fully enumerated earlier (session certified set, or the
   shared dense index for RERANK): zero queries;
@@ -20,7 +22,8 @@ batch sizes feed the Fig. 2 statistic. A box is retired when it
   ``delta`` into the persistent index.
 
 When the queue drains, the best undelivered pool row is provably the next
-tuple in the user's ranking.
+tuple in the user's ranking. With d=1 the same engine is 1D-BINARY/RERANK
+(:mod:`~repro.core.onedim`).
 """
 from __future__ import annotations
 
@@ -37,9 +40,12 @@ from .session import ContextMD, Session
 
 
 class MDAlgorithm(GetNext):
-    """Common box-queue frame for the three MD get-next algorithms."""
+    """The box-queue engine of MD-BASELINE/BINARY/RERANK and 1D-BINARY/RERANK."""
 
     name = "md"
+    #: True for the d=1 case (1D-BINARY/RERANK), which takes only
+    #: single-attribute rankings; the MD algorithms take two or more
+    single_attribute = False
     #: when an iteration has a single live box, also issue its children
     #: speculatively in the same parallel batch (section II-B: "this may,
     #: sometimes, increase the number of queries issued to the web database")
@@ -59,8 +65,9 @@ class MDAlgorithm(GetNext):
     # ----- public primitive ---------------------------------------------
     def get_next(self, session: Session, ranking: LinearRanking) -> Optional[Row]:
         """Deliver the next-best undelivered tuple, or None when exhausted."""
-        if len(ranking.attrs) < 2:
-            raise ValueError("MD algorithm requires >= 2 ranking attributes")
+        if (len(ranking.attrs) == 1) != self.single_attribute:
+            need = "a single-attribute" if self.single_attribute else "a >= 2 attribute"
+            raise ValueError(f"{self.name} requires {need} ranking")
         ctx = session.ctx("md", ranking, ContextMD)
         w = {d: ranking.internal_weight(d) for d in ranking.attrs}
         best = session.best_undelivered(ranking)
@@ -80,6 +87,12 @@ class MDAlgorithm(GetNext):
                     live.append(box)
                 if not live:
                     break
+                # a box wholly behind the lowest-ceiling box waits a round, so a
+                # tuple found there can prune it before it is queried
+                first = min(live, key=lambda b: b.max_score(w))
+                cap = first.max_score(w) - 1e-12
+                waiting = [b for b in live if b is not first and b.min_score(w) >= cap]
+                live = [b for b in live if b is first or b.min_score(w) < cap]
                 # dense-index hits and session-cached responses are free
                 pending: list[tuple[Box, QuerySpec]] = []
                 ready: list[tuple[Box, QuerySpec, list, bool]] = []
@@ -111,7 +124,7 @@ class MDAlgorithm(GetNext):
                 for (box, spec) in pending:
                     rows, overflow = session.query_cache[spec.to_sql()]
                     ready.append((box, spec, rows, overflow))
-                queue = []
+                queue = waiting
                 for box, spec, rows, overflow in ready:
                     session.absorb(rows)
                     if not overflow:

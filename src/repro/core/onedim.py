@@ -4,22 +4,21 @@ All three implement the **get-next** primitive for a single-attribute
 ranking (ascending or descending — descending is an axis flip) using only
 the database's top-k interface.
 
-Shared machinery: the session keeps a *frontier* ``F`` on the internal unit
-axis such that every tuple with unit value <= F is already in the pool.
-``get_next`` first serves from the pool below the frontier (zero queries —
-the session-cache acceleration of section II-A); only when the pool below F
-is exhausted does it search ``(F, 1]``:
-
-* BASELINE — query the whole remaining range; on overflow, narrow the upper
+* BASELINE — a frontier search. The session keeps a *frontier* ``F`` on the
+  internal unit axis such that every tuple with unit value <= F is already
+  in the pool; ``get_next`` serves from the pool below F (zero queries — the
+  session-cache acceleration of section II-A) and only then searches
+  ``(F, 1]``: query the whole remaining range; on overflow, narrow the upper
   bound to the best (minimum-unit) value returned; on underflow, resolve
   duplicates at the boundary value with a point query (crawling when the
   point itself overflows — the "general positioning" fix of section II-B).
   Anti-correlated system rankings make the narrowing crawl forward k tuples
   at a time: O(n/k) queries.
-* BINARY — recursive halving, left interval first; an underflowed interval
-  is fully enumerated and advances F. Dense regions force the halving down
-  to machine resolution before an (unindexed) crawl — the pathology the
-  paper describes.
+* BINARY — the box engine of :mod:`~repro.core.multidim` with d=1 and no
+  speculation: an overflowing interval is halved, and an interval wholly
+  after the lowest one waits until the tuple found there may prune it.
+  Dense regions force the halving down to machine resolution before an
+  (unindexed) crawl — the pathology the paper describes.
 * RERANK — BINARY plus on-the-fly indexing: an overflowing interval
   narrower than the dense threshold ``delta`` is crawled once into the
   shared persistent :class:`~repro.core.dense_index.DenseIndex`; any
@@ -27,7 +26,6 @@ is exhausted does it search ``(F, 1]``:
 """
 from __future__ import annotations
 
-from abc import abstractmethod
 from typing import Optional
 
 from ..webdb.crawler import crawl
@@ -36,50 +34,51 @@ from ..webdb.predicates import QuerySpec, Range, point
 from ..webdb.ranking import LinearRanking
 from .dense_index import DenseIndex
 from .engine import GetNext
+from .multidim import MDAlgorithm
 from .session import Context1D, Session
 
 
-class OneDAlgorithm(GetNext):
-    """Common frame for the three 1-D get-next algorithms."""
+def _raw_beyond(amap, v: float) -> Range:
+    """Raw-space constraint "unit value strictly greater than unit(v)"."""
+    return Range(hi=v, hi_incl=False) if amap.flip else Range(lo=v, lo_incl=False)
 
-    name = "1d"
+
+def _raw_below(amap, v: float) -> Range:
+    """Raw-space constraint "unit value strictly less than unit(v)"."""
+    return Range(lo=v, lo_incl=False) if amap.flip else Range(hi=v, hi_incl=False)
+
+
+class OneDBaseline(GetNext):
+    """Broad queries, narrowed by the best-known value (1D-BASELINE).
+
+    Narrowing bounds come from *row values*, so they are kept in raw
+    attribute space end to end (a unit<->raw float roundtrip could re-admit
+    an already-delivered boundary duplicate and stall the narrowing).
+    """
+
+    name = "1d-baseline"
 
     def get_next(self, session: Session, ranking: LinearRanking) -> Optional[Row]:
         """Deliver the next-best undelivered tuple, or None when exhausted."""
-        self._attr(ranking)  # rejects a multi-attribute ranking up front
-        ctx = session.ctx("1d", ranking, Context1D)
-        cand = self._pool_candidate(session, ranking, ctx)
-        if cand is not None:
-            return session.deliver(cand)
-        if ctx.started and ctx.frontier >= 1.0:
-            return None
-        row = self._search(session, ranking, ctx)
-        if row is None:
-            return None
-        return session.deliver(row)
-
-    # ----- shared helpers -------------------------------------------------
-    @staticmethod
-    def _attr(ranking: LinearRanking) -> str:
         if len(ranking.attrs) != 1:
-            raise ValueError("1-D algorithm requires a single-attribute ranking")
-        return ranking.attrs[0]
+            raise ValueError(f"{self.name} requires a single-attribute ranking")
+        ctx = session.ctx("1d", ranking, Context1D)
+        row = self._pool_candidate(session, ranking, ctx)
+        if row is None and not (ctx.started and ctx.frontier >= 1.0):
+            row = self._search(session, ranking, ctx)
+        return None if row is None else session.deliver(row)
 
-    def _pool_candidate(self, session, ranking, ctx) -> Optional[Row]:
+    def _pool_candidate(self, session, ranking, ctx: Context1D) -> Optional[Row]:
         """Best undelivered pool row at or below the frontier (0 queries): the
         pool's best row, since one attribute's score is monotone in its unit
         value, ties included."""
         if not ctx.started:
             return None
         best = session.best_undelivered(ranking)
-        amap = ranking.attr_map(self._attr(ranking))
+        amap = ranking.attr_map(ranking.attrs[0])
         if best is None or amap.to_unit(best[amap.attr]) > ctx.frontier + 1e-12:
             return None
         return best
-
-    def _interval_spec(self, session, ranking, r: Range) -> QuerySpec:
-        amap = ranking.attr_map(self._attr(ranking))
-        return session.filter_spec.with_range(amap.attr, amap.unit_range_to_raw(r))
 
     def _fetch(self, session, spec: QuerySpec):
         """Query with dense-index short-circuit; returns (rows, overflow).
@@ -98,7 +97,7 @@ class OneDAlgorithm(GetNext):
         # the crawl stays here under this module's ``crawl`` name, which perfbench traces
         self._store_crawl(session, spec, crawl(self.db, spec, self.bounds))
 
-    def _resolve_point(self, session, ranking, v_raw: float) -> None:
+    def _resolve_point(self, session, amap, v_raw: float) -> None:
         """Enumerate every tuple whose ranked attribute equals ``v_raw``.
 
         Handles duplicate values (> system-k tuples sharing one value): a
@@ -106,7 +105,6 @@ class OneDAlgorithm(GetNext):
         other attributes — QR2's general-positioning fix. Takes the *raw*
         attribute value to avoid unit-axis float roundtrip error.
         """
-        amap = ranking.attr_map(self._attr(ranking))
         spec = session.filter_spec.with_range(amap.attr, point(v_raw))
         _, overflow = self._fetch(session, spec)
         if overflow:
@@ -118,34 +116,9 @@ class OneDAlgorithm(GetNext):
         ctx.started = True
         return self._pool_candidate(session, ranking, ctx)
 
-    # ----- per-algorithm search ------------------------------------------
-    @abstractmethod
     def _search(self, session, ranking, ctx: Context1D) -> Optional[Row]:
         """Find the minimum undelivered tuple in ``(frontier, 1]``."""
-
-
-def _raw_beyond(amap, v: float) -> Range:
-    """Raw-space constraint "unit value strictly greater than unit(v)"."""
-    return Range(hi=v, hi_incl=False) if amap.flip else Range(lo=v, lo_incl=False)
-
-
-def _raw_below(amap, v: float) -> Range:
-    """Raw-space constraint "unit value strictly less than unit(v)"."""
-    return Range(lo=v, lo_incl=False) if amap.flip else Range(hi=v, hi_incl=False)
-
-
-class OneDBaseline(OneDAlgorithm):
-    """Broad queries, narrowed by the best-known value (1D-BASELINE).
-
-    Narrowing bounds come from *row values*, so they are kept in raw
-    attribute space end to end (a unit<->raw float roundtrip could re-admit
-    an already-delivered boundary duplicate and stall the narrowing).
-    """
-
-    name = "1d-baseline"
-
-    def _search(self, session, ranking, ctx):
-        amap = ranking.attr_map(self._attr(ranking))
+        amap = ranking.attr_map(ranking.attrs[0])
         hi_raw = None  # exclusive upper bound (in unit order) from best row seen
         while True:
             if ctx.frontier_raw is not None:
@@ -154,7 +127,7 @@ class OneDBaseline(OneDAlgorithm):
                 )
             else:
                 interval = Range(ctx.frontier, 1.0, not ctx.started, True)
-                spec = self._interval_spec(session, ranking, interval)
+                spec = session.filter_spec.with_range(amap.attr, amap.unit_range_to_raw(interval))
             if hi_raw is not None:
                 spec = spec.with_range(amap.attr, _raw_below(amap, hi_raw))
             if spec.is_empty():
@@ -166,48 +139,21 @@ class OneDBaseline(OneDAlgorithm):
                     return self._finish(session, ranking, ctx, 1.0)
                 # everything strictly before hi_raw is known; enumerate the
                 # duplicates at the boundary value itself, then advance
-                self._resolve_point(session, ranking, hi_raw)
+                self._resolve_point(session, amap, hi_raw)
                 ctx.frontier_raw = hi_raw
                 return self._finish(session, ranking, ctx, amap.to_unit(hi_raw))
             best_row = min(rows, key=lambda r: amap.to_unit(r[amap.attr]))
             hi_raw = best_row[amap.attr]
 
 
-class OneDBinary(OneDAlgorithm):
-    """Left-first binary halving of the search axis (1D-BINARY)."""
+class OneDBinary(MDAlgorithm):
+    """Midpoint halving of the search axis (1D-BINARY): the box engine with d=1."""
 
     name = "1d-binary"
-
-    def _search(self, session, ranking, ctx):
-        # stack of (lo, lo_incl, hi, hi_incl); right pushed first so the
-        # leftmost interval is always resolved next (frontier contiguity)
-        stack = [(ctx.frontier, not ctx.started, 1.0, True)]
-        while stack:
-            lo, lo_incl, hi, hi_incl = stack.pop()
-            interval = Range(lo, hi, lo_incl, hi_incl)
-            if interval.is_empty():
-                cand = self._finish(session, ranking, ctx, hi)
-                if cand is not None:
-                    return cand
-                continue
-            spec = self._interval_spec(session, ranking, interval)
-            _, overflow = self._fetch(session, spec)
-            if not overflow:
-                cand = self._finish(session, ranking, ctx, hi)
-                if cand is not None:
-                    return cand
-                continue
-            if hi - lo <= self.crawl_width:
-                # dense region: halving has stopped paying off — crawl it
-                self._crawl_region(session, spec)
-                cand = self._finish(session, ranking, ctx, hi)
-                if cand is not None:
-                    return cand
-                continue
-            mid = (lo + hi) / 2.0
-            stack.append((mid, False, hi, hi_incl))
-            stack.append((lo, lo_incl, mid, True))
-        return self._finish(session, ranking, ctx, 1.0)
+    single_attribute = True
+    #: a lone interval's halves are not sent along with it: on one axis the
+    #: lower half usually holds the answer, so speculation only adds queries
+    speculate = False
 
 
 class OneDRerank(OneDBinary):
@@ -221,8 +167,16 @@ class OneDRerank(OneDBinary):
     name = "1d-rerank"
     index_crawls = True
 
-    def __init__(self, db, bounds, *, dense_index: Optional[DenseIndex] = None, delta: float = 0.02):
-        super().__init__(db, bounds, dense_index=dense_index)
+    def __init__(
+        self,
+        db,
+        bounds,
+        *,
+        dense_index: Optional[DenseIndex] = None,
+        delta: float = 0.02,
+        max_queries: Optional[int] = None,
+    ):
+        super().__init__(db, bounds, dense_index=dense_index, max_queries=max_queries)
         self.crawl_width = delta
 
 

@@ -2,8 +2,9 @@
 
 A session remembers every tuple fetched from the web database (the pool),
 which tuples were already delivered to the user, and per-(ranking, filter)
-search progress — the 1-D frontier and the MD certified-box set — so that
-subsequent get-next calls reuse earlier work instead of re-querying.
+search progress — 1D-BASELINE's frontier and the box engine's certified-box
+set — so that subsequent get-next calls reuse earlier work instead of
+re-querying.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from .geometry import Box
 
 @dataclass
 class Context1D:
-    """1-D search progress: everything with unit value <= ``frontier`` is
-    already in the session pool (enumerated prefix of the search axis).
+    """1D-BASELINE search progress: everything with unit value <= ``frontier``
+    is already in the session pool (enumerated prefix of the search axis).
 
     ``frontier_raw`` is the raw attribute value at the frontier boundary when
     it came from a resolved point (BASELINE); raw-space narrowing restarts
@@ -34,7 +35,8 @@ class Context1D:
 
 @dataclass
 class ContextMD:
-    """MD search progress: boxes proven fully enumerated in earlier calls."""
+    """Box-engine search progress (MD, 1D-BINARY/RERANK): boxes proven fully
+    enumerated in earlier calls."""
 
     certified: list = field(default_factory=list)
 

@@ -9,7 +9,8 @@ attribute value (the "general positioning" violation, section II-B) and when
 Splitting strategy: bisect the numeric attribute with the widest remaining
 relative range (domain-normalised); when every numeric range is degenerate,
 split categorical IN-lists; as a last resort use the site's secondary sort
-orders (attr asc + attr desc) to peel 2k tuples off a point region.
+orders (attr asc + attr desc) to peel a point region of at most 2k-1
+tuples.
 """
 from __future__ import annotations
 
@@ -108,7 +109,8 @@ def crawl(
                 got = _peel_with_orders(db, cur, res)
                 if not got:
                     raise CrawlError(
-                        f"region {cur.to_sql()} has more than 2k indistinguishable tuples"
+                        f"region {cur.to_sql()} has at least 2k={2 * db.k} "
+                        "indistinguishable tuples; at most 2k-1 can be enumerated"
                     )
             level = nxt
     res.n_queries = cost.n_queries
@@ -118,9 +120,10 @@ def crawl(
 def _peel_with_orders(db: WebDB, spec: QuerySpec, res: CrawlResult) -> bool:
     """Last resort for a point region: grab top-k under asc and desc sorts.
 
-    Returns True when the two sorted views provably cover the region
-    (combined distinct count <= 2k and one side underflowed, or the asc and
-    desc windows overlap).
+    Returns True when the two sorted views provably cover the region: one
+    side underflowed, or the asc and desc windows share a tuple. That holds
+    for at most 2k-1 tuples; with 2k or more the windows are disjoint and
+    cannot show that nothing lies between them.
     """
     attr = db.numeric_attrs[0]
     rows_a, ovf_a = db.query(spec, order=(attr, "asc"))

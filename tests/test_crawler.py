@@ -87,14 +87,27 @@ class TestDegenerateRegions:
         )
 
     def test_point_region_peeled_with_dual_orders(self, bounds):
-        """<= 2k tuples indistinguishable on every facet: the asc+desc peel
+        """< 2k tuples indistinguishable on every facet: the asc+desc peel
         recovers all of them."""
         db = self._identical_db(15, k=10)
         res = crawl(db, QuerySpec({"x": point(5.0)}), {"x": (5.0, 5.0)})
         assert set(res.rows) == set(range(1, 16))
 
+    def test_peel_recovers_2k_minus_1(self):
+        """2k-1 identical tuples: the asc and desc windows share one tuple."""
+        db = self._identical_db(19, k=10)
+        res = crawl(db, QuerySpec({"x": point(5.0)}), {"x": (5.0, 5.0)})
+        assert set(res.rows) == set(range(1, 20))
+
+    def test_peel_raises_at_exactly_2k(self):
+        """2k identical tuples: the two windows are disjoint, so the peel
+        cannot prove there is no tuple between them."""
+        db = self._identical_db(20, k=10)
+        with pytest.raises(CrawlError, match="at least 2k=20 indistinguishable"):
+            crawl(db, QuerySpec({"x": point(5.0)}), {"x": (5.0, 5.0)})
+
     def test_unreachable_region_raises(self):
-        """> 2k indistinguishable tuples cannot be enumerated through the
+        """>= 2k indistinguishable tuples cannot be enumerated through the
         interface — the crawler must say so rather than silently miss rows."""
         db = self._identical_db(25, k=10)
         with pytest.raises(CrawlError):

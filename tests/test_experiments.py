@@ -1,18 +1,19 @@
 """Smoke tests: every table harness runs (pandas backend, small n), its
 measured shape matches the paper's qualitative claims, and every query-count
-column equals the value recorded before the get-next frame was shared (a
-refactor of the algorithms must not move a single query)."""
+column equals its pinned value. A refactor of the algorithms must not move a
+single query; a pin changes only when a change to the algorithms is meant to
+save queries, and then only downward."""
 import pytest
 
 from repro.experiments import ALL_TABLES, t1_onedim, t2_md, t3_index, t4_cases, t5_parallel, t6_zillow
 
 #: T1 queries, in CONFIGS order, each as (baseline, binary, rerank)
 T1_QUERIES = [
-    (23, 21, 44), (61, 2, 2), (5, 8, 12), (65, 7, 7),
-    (23, 14, 14), (51, 6, 6), (20, 15, 21), (38, 2, 2),
+    (23, 12, 44), (61, 2, 2), (5, 8, 12), (65, 5, 5),
+    (23, 8, 8), (51, 6, 6), (20, 9, 15), (38, 2, 2),
 ]
 #: T2 (quick) queries, per function as (baseline, binary, rerank, ta)
-T2_QUERIES = [(6, 21, 25, 48), (81, 50, 47, 290), (25, 21, 21, 185)]
+T2_QUERIES = [(6, 21, 25, 48), (81, 50, 47, 196), (25, 21, 21, 154)]
 #: T3 queries per session as (rerank, binary)
 T3_QUERIES = [(62, 80), (6, 80), (6, 80), (6, 80)]
 #: T4 queries: worst first, worst re-run, best first, best re-run

@@ -29,6 +29,13 @@ class TestBoxBasics:
         b = Box(("a", "b"), (Range(0.2, 0.4), Range(0.5, 1.0)))
         assert b.min_score(W2) == pytest.approx(0.2 + 0.25)
 
+    def test_max_score_uses_hi_corner_clipped_to_unit(self):
+        b = Box(("a", "b"), (Range(0.2, 0.4), Range(0.5, 1.0)))
+        assert b.max_score(W2) == pytest.approx(0.4 + 0.5)
+        open_sides = Box(("a", "b"), (Range(0.2, None), Range(None, 1.7)))
+        assert open_sides.max_score(W2) == pytest.approx(1.0 + 0.5)
+        assert Box.unit(["a"]).max_score({"a": 2.0}) == pytest.approx(2.0)
+
     def test_mismatched_dims_rejected(self):
         with pytest.raises(ValueError):
             Box(("a",), (Range(0, 1), Range(0, 1)))

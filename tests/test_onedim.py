@@ -4,6 +4,8 @@ Every exactness test checks the *sequence* of get-next outputs against the
 ground-truth ranking computed over the full hidden table (which the
 algorithms can only access through the top-k interface).
 """
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,11 +44,10 @@ def _run(db, algo_cls, attr, *, descending=False, h=12, spec=QuerySpec(), **kw):
     rk = one_d(attr, bounds[attr], descending=descending)
     algo = algo_cls(db, bounds, **kw)
     session = Session(spec)
-    before = db.stats.n_queries
-    got = algo.get_top_h(session, rk, h)
-    cost = db.stats.n_queries - before
+    with db.counting() as cost:
+        got = algo.get_top_h(session, rk, h)
     truth = ground_truth_topk(db, spec, rk, h)
-    return got, truth, cost, session, algo, rk
+    return got, truth, cost.n_queries, session, algo, rk
 
 
 class TestExactness:
@@ -163,6 +164,34 @@ class TestCostShape:
         assert costs[1] > costs[0] * 0.5  # no amortisation
 
 
+def _wholly_before(a: Range, b: Range) -> bool:
+    """Raw interval ``a`` ends before ``b`` begins."""
+    if a.hi is None or b.lo is None:
+        return False
+    return a.hi < b.lo or (a.hi == b.lo and not (a.hi_incl and b.lo_incl))
+
+
+class TestBoxEngine:
+    def test_no_batch_holds_an_interval_after_another(self, monkeypatch):
+        """An interval wholly after the lowest live one waits a round, so no
+        batch sends two intervals where one lies wholly after the other."""
+        db = sources.zillow(n=600, k=10)
+        batches = []
+        query_batch = db.query_batch
+
+        def recording(specs, order=None):
+            batches.append([s.ranges["price"] for s in specs])
+            return query_batch(specs, order)
+
+        monkeypatch.setattr(db, "query_batch", recording)
+        got, truth, cost, _, _, _ = _run(db, OneDBinary, "price", descending=True)
+        assert _ids(got) == _ids(truth)
+        assert sum(map(len, batches)) == cost
+        for ranges in batches:
+            for a, b in itertools.combinations(ranges, 2):
+                assert not (_wholly_before(a, b) or _wholly_before(b, a)), (a, b)
+
+
 class TestValidation:
     def test_rejects_md_ranking(self, bluenile):
         from repro.webdb.ranking import LinearRanking
@@ -225,5 +254,5 @@ class TestPoolCandidateProperty:
         if isinstance(frontier, int):
             frontier = amap.to_unit(values[frontier % len(values)])
         ctx = Context1D(frontier=frontier, started=True)
-        algo = OneDBinary(None, {})
+        algo = OneDBaseline(None, {})
         assert algo._pool_candidate(s, rk, ctx) is _filtered_min_below_frontier(s, rk, ctx)
