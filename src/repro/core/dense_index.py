@@ -127,7 +127,7 @@ class DenseIndex:
         """
         changed = 0
         for e in self.entries:
-            fresh = crawl(db, e.spec, bounds).rows
+            fresh = crawl(db, e.spec, None, bounds).rows
             for tid in set(e.rows) | set(fresh):
                 if e.rows.get(tid) != fresh.get(tid):
                     changed += 1

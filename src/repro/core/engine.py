@@ -3,17 +3,18 @@
 :class:`GetNext` owns what every algorithm needs besides its search loop:
 the site, the attribute domains the crawler splits on, the dense index (a
 fresh one for the indexing variants when none is shared), repeated get-next
-(``get_top_h``), the one "serve from the index or ask the site" decision
-(``_indexed``), keeping a crawled region (``_store_crawl``) and the query
-budget (:class:`~repro.webdb.interface.BudgetExceeded`).
+(``get_top_h``), the one place that answers a spec (``_recall`` what the
+dense index or the session already knows, else ``_send`` one batch to the
+site), keeping a crawled region (``_store_crawl``) and the query budget
+(:class:`~repro.webdb.interface.BudgetExceeded`).
 """
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from ..webdb.crawler import CrawlResult
-from ..webdb.interface import BudgetExceeded, QueryStats, Row, WebDB
+from ..webdb.interface import BudgetExceeded, QueryResult, QueryStats, Row, WebDB
 from ..webdb.predicates import QuerySpec
 from ..webdb.ranking import LinearRanking
 from .dense_index import DenseIndex
@@ -65,17 +66,24 @@ class GetNext(ABC):
             out.append(r)
         return out
 
-    def _indexed(self, session: Session, spec: QuerySpec) -> Optional[list[Row]]:
-        """Every tuple matching ``spec`` if the dense index covers it, else None.
+    def _recall(self, session: Session, spec: QuerySpec) -> Optional[QueryResult]:
+        """The known answer to ``spec`` at zero site queries, else None.
 
-        A hit costs zero site queries and is absorbed into the session pool.
+        The dense index comes first: a hit is every matching tuple, so it
+        never overflows. Then the session's cache of site responses.
         """
-        if self.dense_index is None:
-            return None
-        hit = self.dense_index.rows_matching(spec)
-        if hit is not None:
-            session.absorb(hit)
-        return hit
+        if self.dense_index is not None:
+            hit = self.dense_index.rows_matching(spec)
+            if hit is not None:
+                return hit, False
+        return session.query_cache.get(spec.to_sql())
+
+    def _send(self, session: Session, specs: Sequence[QuerySpec]) -> list[QueryResult]:
+        """Ask the site for ``specs`` in one parallel batch; cache every response."""
+        results = self.db.query_batch(specs)
+        for spec, result in zip(specs, results):
+            session.query_cache[spec.to_sql()] = result
+        return results
 
     def _store_crawl(self, session: Session, spec: QuerySpec, result: CrawlResult) -> None:
         """Keep a crawl of ``spec``: in the session, and indexed if this variant indexes."""

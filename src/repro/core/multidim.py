@@ -5,11 +5,12 @@ attributes; internally a minimisation over the unit cube with non-negative
 weights (axis flips for negative sliders — section II-C's [-1,1] sliders).
 
 The search keeps a work-queue of boxes covering the not-yet-ruled-out part
-of the space. Every loop iteration queries the live boxes as one parallel
-batch — QR2's parallel processing (section II-B); the per-iteration batch
-sizes feed the Fig. 2 statistic. A box wholly behind the live box with the
-lowest maximum score waits for the next iteration instead, since a tuple
-found there may prune it. A box is retired when it
+of the space. Every loop iteration answers the live boxes: what the dense
+index or the session already knows is recalled, the rest is sent as one
+parallel batch — QR2's parallel processing (section II-B); the
+per-iteration batch sizes feed the Fig. 2 statistic. A box wholly behind
+the live box with the lowest maximum score waits for the next iteration
+instead, since a tuple found there may prune it. A box is retired when it
 
 * is *certified* — fully enumerated earlier (session certified set, or the
   shared dense index for RERANK): zero queries;
@@ -31,7 +32,6 @@ from typing import Mapping, Optional
 
 from ..webdb.crawler import crawl
 from ..webdb.interface import Row, WebDB
-from ..webdb.predicates import QuerySpec
 from ..webdb.ranking import LinearRanking
 from .dense_index import DenseIndex
 from .engine import GetNext
@@ -93,49 +93,33 @@ class MDAlgorithm(GetNext):
                 cap = first.max_score(w) - 1e-12
                 waiting = [b for b in live if b is not first and b.min_score(w) >= cap]
                 live = [b for b in live if b is first or b.min_score(w) < cap]
-                # dense-index hits and session-cached responses are free
-                pending: list[tuple[Box, QuerySpec]] = []
-                ready: list[tuple[Box, QuerySpec, list, bool]] = []
-                for box in live:
-                    spec = session.filter_spec.merged(box.to_spec(ranking))
-                    if self._indexed(session, spec) is not None:
-                        ctx.add(box)
-                        continue
-                    cached = session.query_cache.get(spec.to_sql())
-                    if cached is not None:
-                        ready.append((box, spec, cached[0], cached[1]))
-                    else:
-                        pending.append((box, spec))
-                # one parallel iteration over the genuinely new queries (Fig. 2);
-                # a lone query gets its box's children added speculatively so the
-                # web-database round-trip is still parallel
-                speculative: list[tuple[Box, QuerySpec]] = []
-                if self.speculate and len(pending) == 1:
-                    for child in pending[0][0].split_widest():
-                        if child.is_empty():
-                            continue
+                # each box's answer is recalled, or sent in this round's one
+                # parallel batch (Fig. 2); a lone miss sends its box's children
+                # along speculatively, so the site round-trip is still parallel
+                specs = [session.filter_spec.merged(box.to_spec(ranking)) for box in live]
+                answers = [self._recall(session, spec) for spec in specs]
+                misses = [spec for spec, answer in zip(specs, answers) if answer is None]
+                if self.speculate and len(misses) == 1:
+                    lone = live[answers.index(None)]
+                    for child in lone.split_widest():
                         cspec = session.filter_spec.merged(child.to_spec(ranking))
-                        if cspec.to_sql() not in session.query_cache:
-                            speculative.append((child, cspec))
-                batch = pending + speculative
-                results = self.db.query_batch([s for _, s in batch])
-                for (box, spec), (rows, overflow) in zip(batch, results):
-                    session.query_cache[spec.to_sql()] = (rows, overflow)
-                for (box, spec) in pending:
-                    rows, overflow = session.query_cache[spec.to_sql()]
-                    ready.append((box, spec, rows, overflow))
+                        if not child.is_empty() and self._recall(session, cspec) is None:
+                            misses.append(cspec)
+                sent = iter(self._send(session, misses))
                 queue = waiting
-                for box, spec, rows, overflow in ready:
+                for box, spec, answer in zip(live, specs, answers):
+                    rows, overflow = answer or next(sent)
                     session.absorb(rows)
                     if not overflow:
                         ctx.add(box)
-                        continue
-                    if box.max_width() <= self.crawl_width:
-                        # the crawl stays here under this module's ``crawl`` name, which perfbench traces
-                        self._store_crawl(session, spec, crawl(self.db, spec, self.bounds))
+                    elif box.max_width() <= self.crawl_width:
+                        # the crawl stays here under this module's ``crawl`` name,
+                        # which perfbench traces; it splits the answer just held
+                        crawled = crawl(self.db, spec, (rows, True), self.bounds)
+                        self._store_crawl(session, spec, crawled)
                         ctx.add(box)
-                        continue
-                    queue.extend(self._narrow(box, ranking, best_s))
+                    else:
+                        queue.extend(self._narrow(box, ranking, best_s))
                 best = session.best_undelivered(ranking)
         if best is None:
             return None

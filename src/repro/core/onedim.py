@@ -81,34 +81,25 @@ class OneDBaseline(GetNext):
         return best
 
     def _fetch(self, session, spec: QuerySpec):
-        """Query with dense-index short-circuit; returns (rows, overflow).
-
-        An index hit is free and complete (overflow False).
-        """
-        hit = self._indexed(session, spec)
-        if hit is not None:
-            return hit, False
-        rows, overflow = self.db.query(spec)
+        """``spec``'s answer, recalled or sent; its rows join the pool."""
+        rows, overflow = self._recall(session, spec) or self._send(session, [spec])[0]
         session.absorb(rows)
         return rows, overflow
-
-    def _crawl_region(self, session, spec: QuerySpec) -> None:
-        """Fully enumerate ``spec``, which the caller just missed in the index."""
-        # the crawl stays here under this module's ``crawl`` name, which perfbench traces
-        self._store_crawl(session, spec, crawl(self.db, spec, self.bounds))
 
     def _resolve_point(self, session, amap, v_raw: float) -> None:
         """Enumerate every tuple whose ranked attribute equals ``v_raw``.
 
         Handles duplicate values (> system-k tuples sharing one value): a
-        point query that overflows triggers the crawler, splitting on the
-        other attributes — QR2's general-positioning fix. Takes the *raw*
-        attribute value to avoid unit-axis float roundtrip error.
+        point query that overflows triggers the crawler, which splits that
+        answer on the other attributes — QR2's general-positioning fix.
+        Takes the *raw* attribute value to avoid unit-axis float roundtrip
+        error.
         """
         spec = session.filter_spec.with_range(amap.attr, point(v_raw))
-        _, overflow = self._fetch(session, spec)
+        rows, overflow = self._fetch(session, spec)
         if overflow:
-            self._crawl_region(session, spec)
+            # the crawl stays here under this module's ``crawl`` name, which perfbench traces
+            self._store_crawl(session, spec, crawl(self.db, spec, (rows, True), self.bounds))
 
     def _finish(self, session, ranking, ctx: Context1D, new_frontier: float) -> Optional[Row]:
         """Advance the frontier and return the best candidate under it."""

@@ -22,9 +22,8 @@ from .dense_index import DenseIndex
 from .multidim import MDRerank
 from .onedim import OneDRerank
 from .session import Session
-from .ta import MDTA
 
-#: dense-region width below which the service's RERANK and MD-TA crawl an
+#: dense-region width below which the service's 1D- and MD-RERANK crawl an
 #: overflowing region into the shared dense index
 DELTA = 0.05
 
@@ -51,11 +50,10 @@ class UserQuery:
 class QR2Service:
     """The third-party reranking service over registered web databases."""
 
-    def __init__(self, *, md_algorithm: str = "md-rerank"):
+    def __init__(self):
         self.dbs: dict[str, WebDB] = {}
         self.bounds: dict[str, dict] = {}
         self.indexes: dict[str, DenseIndex] = {}
-        self.md_algorithm = md_algorithm
         self._sessions: dict[int, tuple[UserQuery, Session, object]] = {}
         self._sids = itertools.count(1)
 
@@ -112,13 +110,9 @@ class QR2Service:
 
     # ----- query lifecycle -------------------------------------------------
     def _algorithm(self, db: WebDB, ranking: LinearRanking):
-        bounds = self.bounds[db.name]
-        idx = self.indexes[db.name]
-        if len(ranking.attrs) == 1:
-            return OneDRerank(db, bounds, dense_index=idx, delta=DELTA)
-        if self.md_algorithm == "md-ta":
-            return MDTA(db, bounds, dense_index=idx, delta=DELTA)
-        return MDRerank(db, bounds, dense_index=idx, delta=DELTA)
+        """The deployed algorithm: 1D-RERANK for one attribute, else MD-RERANK."""
+        algo = OneDRerank if len(ranking.attrs) == 1 else MDRerank
+        return algo(db, self.bounds[db.name], dense_index=self.indexes[db.name], delta=DELTA)
 
     def submit(self, q: UserQuery) -> tuple[int, list[Row], PageStats]:
         """Process a new user query; returns (session id, first page, stats)."""

@@ -15,9 +15,9 @@ tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Optional
 
-from .interface import BudgetExceeded, Row, WebDB
+from .interface import BudgetExceeded, QueryResult, Row, WebDB
 from .predicates import QuerySpec, Range
 
 
@@ -55,30 +55,27 @@ def _split_candidates(db: WebDB, spec: QuerySpec, bounds: Mapping[str, tuple[flo
 def crawl(
     db: WebDB,
     spec: QuerySpec,
+    held: Optional[QueryResult],
     bounds: Mapping[str, tuple[float, float]],
     *,
     max_queries: int = 100_000,
 ) -> CrawlResult:
     """Fully enumerate the tuples matching ``spec``.
 
-    ``bounds`` supplies attribute domains for unbounded range sides (the
-    service learns them via ``discovery``). The result's ``n_queries`` is
-    what this crawl sent. Raises :class:`BudgetExceeded` past ``max_queries``.
+    ``held`` is the site's answer to ``spec`` when the caller already has
+    it, so the crawl splits it without asking again; None asks. ``bounds``
+    supplies attribute domains for unbounded range sides (the service
+    learns them via ``discovery``). The result's ``n_queries`` is what this
+    crawl sent. Raises :class:`BudgetExceeded` past ``max_queries``.
     """
     res = CrawlResult()
     with db.counting() as cost:
         # level-synchronous BFS: sibling sub-regions are independent, so each
         # level is one parallel batch (QR2's parallel processing, section II-B)
-        level = [spec]
-        while level:
-            if cost.n_queries > max_queries:
-                raise BudgetExceeded(cost.n_queries)
-            level = [s for s in level if not s.is_empty()]
-            if not level:
-                break
-            results = db.query_batch(level)
+        answered = [(spec, db.query(spec) if held is None else held)]
+        while answered:
             nxt: list[QuerySpec] = []
-            for cur, (rows, overflow) in zip(level, results):
+            for cur, (rows, overflow) in answered:
                 for r in rows:
                     res.rows[r[db.id_col]] = r
                 if not overflow:
@@ -112,7 +109,10 @@ def crawl(
                         f"region {cur.to_sql()} has at least 2k={2 * db.k} "
                         "indistinguishable tuples; at most 2k-1 can be enumerated"
                     )
-            level = nxt
+            nxt = [s for s in nxt if not s.is_empty()]
+            if nxt and cost.n_queries > max_queries:
+                raise BudgetExceeded(cost.n_queries)
+            answered = list(zip(nxt, db.query_batch(nxt)))
     res.n_queries = cost.n_queries
     return res
 

@@ -18,7 +18,7 @@ def bounds(db):
 
 
 def _crawled_entry(db, bounds, spec):
-    return spec, crawl(db, spec, bounds).rows
+    return spec, crawl(db, spec, None, bounds).rows
 
 
 class TestLookup:
@@ -94,7 +94,7 @@ class TestBootVerification:
         db = sources.bluenile(n=400, k=10)
         spec = QuerySpec({"price": Range(1000, 4000)})
         idx = DenseIndex("bluenile")
-        idx.add(spec, crawl(db, spec, bounds).rows)
+        idx.add(spec, crawl(db, spec, None, bounds).rows)
         # the web database changes under the cache: reprice one cached tuple
         entry = idx.entries[0]
         victim = next(iter(entry.rows))
@@ -107,5 +107,5 @@ class TestBootVerification:
     def test_verify_clean_cache_reports_zero(self, db, bounds):
         spec = QuerySpec({"price": Range(1000, 4000)})
         idx = DenseIndex("bluenile")
-        idx.add(spec, crawl(db, spec, bounds).rows)
+        idx.add(spec, crawl(db, spec, None, bounds).rows)
         assert idx.verify_against(db, bounds) == 0

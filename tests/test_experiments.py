@@ -9,19 +9,19 @@ from repro.experiments import ALL_TABLES, t1_onedim, t2_md, t3_index, t4_cases, 
 
 #: T1 queries, in CONFIGS order, each as (baseline, binary, rerank)
 T1_QUERIES = [
-    (23, 12, 44), (61, 2, 2), (5, 8, 12), (65, 5, 5),
-    (23, 8, 8), (51, 6, 6), (20, 9, 15), (38, 2, 2),
+    (23, 12, 43), (61, 2, 2), (5, 8, 11), (65, 5, 5),
+    (23, 8, 8), (51, 6, 6), (20, 9, 14), (38, 2, 2),
 ]
 #: T2 (quick) queries, per function as (baseline, binary, rerank, ta)
-T2_QUERIES = [(6, 21, 25, 48), (81, 50, 47, 196), (25, 21, 21, 154)]
+T2_QUERIES = [(6, 21, 24, 46), (81, 50, 46, 185), (25, 21, 21, 148)]
 #: T3 queries per session as (rerank, binary)
-T3_QUERIES = [(62, 80), (6, 80), (6, 80), (6, 80)]
+T3_QUERIES = [(61, 79), (6, 79), (6, 79), (6, 79)]
 #: T4 queries: worst first, worst re-run, best first, best re-run
-T4_QUERIES = [84, 6, 25, 13]
+T4_QUERIES = [83, 6, 24, 13]
 #: T5 (total_queries, parallel_queries, iterations) for the 2-D and 3-D search
-T5_COUNTS = [(113, 108, 35), (35, 35, 13)]
+T5_COUNTS = [(108, 108, 30), (35, 35, 13)]
 #: T6 (queries, parallel_queries) for the first page and the next page
-T6_COUNTS = [(38, 36), (19, 18)]
+T6_COUNTS = [(36, 36), (18, 18)]
 
 
 def _flat(groups):

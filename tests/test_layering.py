@@ -9,7 +9,11 @@ queries with a ``WebDB.counting()`` block, which stays right when users
 run concurrently.
 
 Candidate boundary: only ``core/session.py`` reads a session's pool; the
-algorithms take their next candidate from ``Session.best_undelivered``."""
+algorithms take their next candidate from ``Session.best_undelivered``.
+
+Answer boundary: in ``core/``, only the get-next frame (``core/engine.py``)
+asks the site or reads a session's response cache; the algorithms get a
+spec's answer from ``GetNext._recall`` or ``GetNext._send``."""
 import ast
 import pathlib
 
@@ -71,3 +75,18 @@ def test_pool_read_only_in_session():
         if isinstance(node, ast.Attribute) and node.attr == "pool"
     ]
     assert not readers, f"read Session.pool; use Session.best_undelivered: {readers}"
+
+
+def test_site_answers_only_in_engine():
+    engine = SRC / "core" / "engine.py"
+    askers = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted((SRC / "core").glob("*.py"))
+        if path != engine
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr == "query_cache"
+            and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("query", "query_batch"))
+    ]
+    assert not askers, f"ask the site or read query_cache; use GetNext._recall/_send: {askers}"

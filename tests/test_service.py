@@ -71,14 +71,6 @@ class TestQueryLifecycle:
         sid, rows, _ = service.submit(UserQuery("zillow", QuerySpec(), rk, page_size=5))
         assert _ids(rows) == _ids(ground_truth_topk(db, QuerySpec(), rk, 5))
 
-    def test_md_ta_mode(self):
-        svc = QR2Service(md_algorithm="md-ta")
-        db = sources.bluenile(n=300, k=10)
-        svc.register_source(db, bounds={a: db.true_domain(a) for a in db.numeric_attrs})
-        rk = svc.ranking_md("bluenile", {"price": 1.0, "carat": 0.3})
-        sid, rows, _ = svc.submit(UserQuery("bluenile", QuerySpec(), rk, page_size=5))
-        assert _ids(rows) == _ids(ground_truth_topk(db, QuerySpec(), rk, 5))
-
     def test_concurrent_sessions_isolated(self, service):
         db = service.dbs["bluenile"]
         rk_a = service.ranking_1d("bluenile", "price")
