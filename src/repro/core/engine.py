@@ -1,6 +1,8 @@
-"""The get-next frame shared by the 1-D, MD and MD-TA algorithms of [11].
+"""The get-next frame shared by the algorithms of [11].
 
-:class:`GetNext` owns what every algorithm needs besides its search loop:
+Two search loops run on it: the box engine of :mod:`~repro.core.multidim`
+(every 1-D and MD algorithm) and MD-TA (:mod:`~repro.core.ta`).
+:class:`GetNext` owns what both need besides their search loop:
 the site, the attribute domains the crawler splits on, the dense index (a
 fresh one for the indexing variants when none is shared), repeated get-next
 (``get_top_h``), the one place that answers a spec (``_recall`` what the

@@ -34,6 +34,10 @@ class Box:
         """Unit interval of one dimension."""
         return self.ranges[self.dims.index(dim)]
 
+    def with_range(self, i: int, r: Range) -> "Box":
+        """This box with dimension ``i``'s interval replaced by ``r``."""
+        return Box(self.dims, self.ranges[:i] + (r,) + self.ranges[i + 1:])
+
     def is_empty(self) -> bool:
         """True when any side is an empty interval."""
         return any(r.is_empty() for r in self.ranges)
@@ -71,8 +75,7 @@ class Box:
         r = self.ranges[dim_idx]
         left = Range(r.lo, at, r.lo_incl, True)
         right = Range(at, r.hi, False, r.hi_incl)
-        mk = lambda nr: Box(self.dims, tuple(nr if i == dim_idx else x for i, x in enumerate(self.ranges)))
-        return mk(left), mk(right)
+        return self.with_range(dim_idx, left), self.with_range(dim_idx, right)
 
     def split_widest(self) -> tuple["Box", "Box"]:
         """Midpoint split on the widest dimension (MD-BINARY step)."""
@@ -91,7 +94,13 @@ class Box:
         regardless of the other coordinates, so that part of the box cannot
         contain a tuple beating the contour — clip it off. This is the
         MD-BASELINE narrowing step: the result is a single (broad) box.
+
+        ``s`` is raised by the engine's 1e-12 score tolerance first: ``s``
+        is a tuple's score, and with d=1 a cap of exactly that tuple's unit
+        value can map back to a raw bound just past its raw value, so the
+        narrowed query would miss the tuples tied with it.
         """
+        s += 1e-12
         w = {d: ranking.internal_weight(d) for d in self.dims}
         lo_corner = self._lo_corner()
         total_lo = sum(w[d] * c for d, c in zip(self.dims, lo_corner))

@@ -17,14 +17,15 @@ instead, since a tuple found there may prune it. A box is retired when it
 * is *pruned* — its minimum possible score exceeds the best undelivered
   candidate's score (the rank-contour bound of the best-known solution);
 * *underflows* — its query returned every tuple inside: certify it;
-* otherwise it is narrowed: BASELINE clips it by the best candidate's rank
-  contour (broad narrowed re-query), BINARY midpoint-splits the widest
-  dimension, RERANK additionally crawls boxes denser than threshold
-  ``delta`` into the persistent index.
+* otherwise it is narrowed: BASELINE drops the low end that certified boxes
+  already hold and clips the rest by the rank contour of the best candidate
+  known at that moment (broad narrowed re-query), BINARY midpoint-splits
+  the widest dimension, RERANK additionally crawls boxes denser than
+  threshold ``delta`` into the persistent index.
 
 When the queue drains, the best undelivered pool row is provably the next
-tuple in the user's ranking. With d=1 the same engine is 1D-BINARY/RERANK
-(:mod:`~repro.core.onedim`).
+tuple in the user's ranking. With d=1 the same engine is
+1D-BASELINE/BINARY/RERANK (:mod:`~repro.core.onedim`).
 """
 from __future__ import annotations
 
@@ -40,10 +41,10 @@ from .session import ContextMD, Session
 
 
 class MDAlgorithm(GetNext):
-    """The box-queue engine of MD-BASELINE/BINARY/RERANK and 1D-BINARY/RERANK."""
+    """The box-queue engine of MD- and 1D-BASELINE/BINARY/RERANK."""
 
     name = "md"
-    #: True for the d=1 case (1D-BINARY/RERANK), which takes only
+    #: True for the d=1 case (1D-BASELINE/BINARY/RERANK), which takes only
     #: single-attribute rankings; the MD algorithms take two or more
     single_attribute = False
     #: when an iteration has a single live box, also issue its children
@@ -119,14 +120,14 @@ class MDAlgorithm(GetNext):
                         self._store_crawl(session, spec, crawled)
                         ctx.add(box)
                     else:
-                        queue.extend(self._narrow(box, ranking, best_s))
+                        queue.extend(self._narrow(box, ranking, session))
                 best = session.best_undelivered(ranking)
         if best is None:
             return None
         return session.deliver(best)
 
     # ----- per-algorithm narrowing ---------------------------------------
-    def _narrow(self, box: Box, ranking: LinearRanking, best_s: Optional[float]) -> list[Box]:
+    def _narrow(self, box: Box, ranking: LinearRanking, session: Session) -> list[Box]:
         """Children replacing an overflowing box (never returns it unchanged)."""
         return list(box.split_widest())
 
@@ -136,13 +137,24 @@ class MDBaseline(MDAlgorithm):
 
     name = "md-baseline"
 
-    def _narrow(self, box, ranking, best_s):
-        if best_s is not None:
-            clipped = box.clip_by_contour(ranking, best_s)
-            if clipped != box and not clipped.is_empty():
-                return [clipped]
-            if clipped.is_empty():
-                return []
+    def _narrow(self, box, ranking, session):
+        # what earlier calls certified is in the pool; asking for it again
+        # would overflow on delivered tuples alone
+        narrowed = session.ctx("md", ranking, ContextMD).trim(box)
+        # the best tuple known now, with the rows this round just absorbed:
+        # the round's starting best is often None or stale, and clipping by
+        # it would leave the box to be halved, which makes d=1 a BINARY
+        best = session.best_undelivered(ranking)
+        if best is not None:
+            narrowed = narrowed.clip_by_contour(ranking, ranking.internal_score(best))
+        if narrowed.is_empty():
+            return []
+        if narrowed != box:
+            return [narrowed]
+        return self._split(box, ranking, best)
+
+    def _split(self, box: Box, ranking: LinearRanking, best: Optional[Row]) -> list[Box]:
+        """Children of a box that neither the certified boxes nor the contour narrow."""
         return list(box.split_widest())
 
 

@@ -1,10 +1,9 @@
 """Per-user session state (QR2's "session variable", section II-A).
 
 A session remembers every tuple fetched from the web database (the pool),
-which tuples were already delivered to the user, and per-(ranking, filter)
-search progress — 1D-BASELINE's frontier and the box engine's certified-box
-set — so that subsequent get-next calls reuse earlier work instead of
-re-querying.
+which tuples were already delivered to the user, and per-ranking search
+progress — the box engine's certified boxes, MD-TA's streams — so that
+subsequent get-next calls reuse earlier work instead of re-querying.
 """
 from __future__ import annotations
 
@@ -13,30 +12,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..webdb.interface import Row
-from ..webdb.predicates import QuerySpec
+from ..webdb.predicates import QuerySpec, Range
 from ..webdb.ranking import LinearRanking
 from .geometry import Box
 
 
 @dataclass
-class Context1D:
-    """1D-BASELINE search progress: everything with unit value <= ``frontier``
-    is already in the session pool (enumerated prefix of the search axis).
-
-    ``frontier_raw`` is the raw attribute value at the frontier boundary when
-    it came from a resolved point (BASELINE); raw-space narrowing restarts
-    strictly beyond it, immune to unit<->raw float roundtrip error.
-    """
-
-    frontier: float = 0.0
-    started: bool = False  # frontier==0 is meaningful only after the first query
-    frontier_raw: Optional[float] = None
-
-
-@dataclass
 class ContextMD:
-    """Box-engine search progress (MD, 1D-BINARY/RERANK): boxes proven fully
-    enumerated in earlier calls."""
+    """Box-engine search progress (every 1-D and MD algorithm but MD-TA):
+    boxes proven fully enumerated in earlier calls."""
 
     certified: list = field(default_factory=list)
 
@@ -48,6 +32,21 @@ class ContextMD:
         """Record a fully-enumerated box, dropping boxes it subsumes."""
         self.certified = [c for c in self.certified if not box.contains(c)]
         self.certified.append(box)
+
+    def trim(self, box: Box) -> Box:
+        """``box`` less each certified box that holds its low end on one
+        dimension and all of it on the others, so the rest is still a box
+        (empty when the certified boxes hold all of it)."""
+        trimmed = True
+        while trimmed and not box.is_empty():
+            trimmed = False
+            for c in self.certified:
+                for i, (cr, r) in enumerate(zip(c.ranges, box.ranges)):
+                    low_end = box.with_range(i, Range(r.lo, cr.hi, r.lo_incl, cr.hi_incl))
+                    if cr.hi > r.lo and c.contains(low_end):
+                        box = box.with_range(i, Range(cr.hi, r.hi, not cr.hi_incl, r.hi_incl))
+                        trimmed = True
+        return box
 
 
 class Session:

@@ -49,12 +49,11 @@ class MDTA(GetNext):
         bounds: Mapping[str, tuple[float, float]],
         *,
         dense_index: Optional[DenseIndex] = None,
-        delta: float = 0.02,
         max_queries: Optional[int] = None,
     ):
         super().__init__(db, bounds, dense_index=dense_index)
         self.max_queries = max_queries
-        self._engine = OneDRerank(db, bounds, dense_index=self.dense_index, delta=delta)
+        self._engine = OneDRerank(db, bounds, dense_index=self.dense_index)
 
     def get_next(self, session: Session, ranking: LinearRanking) -> Optional[Row]:
         """Deliver the next-best undelivered tuple, or None when exhausted."""

@@ -2,8 +2,8 @@
 
 Each example builds a small ``LocalWebDB`` with a duplicate-heavy column, a
 random system ranking and k in {1, 2, 3}, then pages a random filter and
-order through one algorithm until the site is exhausted. Every delivered
-sequence must equal the full-table ground truth, tuple for tuple.
+order through one 1-D or MD algorithm until the site is exhausted. Every
+delivered sequence must equal the full-table ground truth, tuple for tuple.
 """
 from collections import Counter
 
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.multidim import MDRerank
+from repro.core.multidim import ALGORITHMS_MD
 from repro.core.onedim import ALGORITHMS_1D
 from repro.core.rerank_op import ground_truth_topk
 from repro.core.session import Session
@@ -20,10 +20,12 @@ from repro.webdb.interface import LocalWebDB
 from repro.webdb.predicates import QuerySpec, Range
 from repro.webdb.ranking import LinearRanking, SystemRanking
 
-#: (x, y, c): x takes three values, y seven, c is a two-option facet
+#: (x, y, c): x takes three values, y seven, c is a two-option facet; x's
+#: values do not survive the unit<->raw float round trip exactly (1.48 maps
+#: back to 1.4800000000000002), as real prices and carats do not
 TUPLES = st.lists(
     st.tuples(
-        st.sampled_from([1.0, 2.0, 3.0]),
+        st.sampled_from([0.2, 1.48, 2.71]),
         st.integers(0, 6).map(float),
         st.sampled_from(["a", "b"]),
     ),
@@ -35,7 +37,7 @@ FILTERS = st.sampled_from(
     [
         QuerySpec(),
         QuerySpec({"y": Range(1.0, 4.0)}),
-        QuerySpec({"x": Range(None, 2.0, hi_incl=False)}),
+        QuerySpec({"x": Range(None, 1.48, hi_incl=False)}),
         QuerySpec({}, {"c": frozenset({"a"})}),
     ]
 )
@@ -78,12 +80,13 @@ def test_1d_matches_ground_truth(algo_cls, tuples, k, system, spec, w):
     assert got == truth
 
 
+@pytest.mark.parametrize("algo_cls", list(ALGORITHMS_MD.values()), ids=lambda c: c.name)
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(
     tuples=TUPLES, k=st.integers(1, 3), system=SYSTEM_RANKINGS, spec=FILTERS,
     wx=SIGNED, wy=SIGNED,
 )
-def test_md_rerank_matches_ground_truth(tuples, k, system, spec, wx, wy):
+def test_md_matches_ground_truth(algo_cls, tuples, k, system, spec, wx, wy):
     """Signed weights over x and y (d=2)."""
-    got, truth = _exhaust(MDRerank, _site(tuples, k, system), spec, {"x": wx, "y": wy})
+    got, truth = _exhaust(algo_cls, _site(tuples, k, system), spec, {"x": wx, "y": wy})
     assert got == truth

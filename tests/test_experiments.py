@@ -2,18 +2,25 @@
 measured shape matches the paper's qualitative claims, and every query-count
 column equals its pinned value. A refactor of the algorithms must not move a
 single query; a pin changes only when a change to the algorithms is meant to
-save queries, and then only downward."""
+save queries, and then only downward. One pin rose, and why:
+
+* T1 BASELINE, bluenile price desc, 61 -> 68, all in the first get-next.
+  1D-BASELINE became the d=1 box engine's contour clip. The clip keeps the
+  boundary value, since tuples tied with the best must be fetched (ties
+  are broken by tid). So 67 of the 68 queries return the best tuple again
+  and bring 7-9 new tuples, not k=10. Every other BASELINE pin fell, and
+  at n=3000, k=25 this row fell too (237 -> 128)."""
 import pytest
 
 from repro.experiments import ALL_TABLES, t1_onedim, t2_md, t3_index, t4_cases, t5_parallel, t6_zillow
 
 #: T1 queries, in CONFIGS order, each as (baseline, binary, rerank)
 T1_QUERIES = [
-    (23, 12, 43), (61, 2, 2), (5, 8, 11), (65, 5, 5),
-    (23, 8, 8), (51, 6, 6), (20, 9, 14), (38, 2, 2),
+    (9, 12, 43), (68, 2, 2), (3, 8, 11), (18, 5, 5),
+    (9, 8, 8), (28, 6, 6), (8, 9, 14), (13, 2, 2),
 ]
 #: T2 (quick) queries, per function as (baseline, binary, rerank, ta)
-T2_QUERIES = [(6, 21, 24, 46), (81, 50, 46, 185), (25, 21, 21, 148)]
+T2_QUERIES = [(5, 21, 24, 46), (71, 50, 46, 185), (21, 21, 21, 148)]
 #: T3 queries per session as (rerank, binary)
 T3_QUERIES = [(61, 79), (6, 79), (6, 79), (6, 79)]
 #: T4 queries: worst first, worst re-run, best first, best re-run

@@ -70,6 +70,15 @@ class TestContourClip:
         assert clipped.range_of("a").hi == pytest.approx(0.3)
         assert clipped.range_of("b").hi == pytest.approx(0.6)
 
+    def test_clip_at_a_tuple_keeps_its_raw_value(self):
+        """A cap at a tuple's own unit value still admits the tuple's raw
+        value once the box is mapped back to a raw query (here the bare
+        round trip gives 1.4800000000000002)."""
+        rk = LinearRanking({"carat": -1.0}, {"carat": (0.2, 2.71)})
+        u = rk.attr_map("carat").to_unit(1.48)
+        spec = Box.unit(["carat"]).clip_by_contour(rk, u).to_spec(rk)
+        assert spec.ranges["carat"].contains(1.48)
+
     def test_clip_never_cuts_contour_region(self):
         """Every point of the box with score <= s survives the clip."""
         rng = np.random.default_rng(0)

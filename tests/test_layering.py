@@ -13,7 +13,11 @@ algorithms take their next candidate from ``Session.best_undelivered``.
 
 Answer boundary: in ``core/``, only the get-next frame (``core/engine.py``)
 asks the site or reads a session's response cache; the algorithms get a
-spec's answer from ``GetNext._recall`` or ``GetNext._send``."""
+spec's answer from ``GetNext._recall`` or ``GetNext._send``.
+
+Loop boundary: in ``core/``, ``get_next`` is defined only by the frame
+(abstract), the box engine and MD-TA; every other algorithm is a
+configuration of the box engine."""
 import ast
 import pathlib
 
@@ -90,3 +94,15 @@ def test_site_answers_only_in_engine():
             and node.func.attr in ("query", "query_batch"))
     ]
     assert not askers, f"ask the site or read query_cache; use GetNext._recall/_send: {askers}"
+
+
+def test_get_next_only_in_search_loops():
+    loops = {"engine.py", "multidim.py", "ta.py"}
+    definers = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted((SRC / "core").glob("*.py"))
+        if path.name not in loops
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "get_next"
+    ]
+    assert not definers, f"a get-next loop outside the box engine and MD-TA: {definers}"

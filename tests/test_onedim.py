@@ -7,13 +7,11 @@ algorithms can only access through the top-k interface).
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.dense_index import DenseIndex
 from repro.core.onedim import ALGORITHMS_1D, OneDBaseline, OneDBinary, OneDRerank
 from repro.core.rerank_op import ground_truth_topk
-from repro.core.session import Context1D, Session
+from repro.core.session import Session
 from repro.webdb import sources
 from repro.webdb.predicates import QuerySpec, Range
 from repro.webdb.ranking import one_d
@@ -77,6 +75,14 @@ class TestExactness:
         assert _ids(got) == _ids(truth)
 
     @pytest.mark.parametrize("algo_cls", ALGOS, ids=lambda c: c.name)
+    def test_deep_page_through_ties(self, algo_cls):
+        """Carat descending, 30 deep: narrowing stops on values that several
+        tuples share, and the tie is broken by tid."""
+        db = sources.bluenile(n=600, k=10)
+        got, truth, _, _, _, _ = _run(db, algo_cls, "carat", descending=True, h=30)
+        assert _ids(got) == _ids(truth)
+
+    @pytest.mark.parametrize("algo_cls", ALGOS, ids=lambda c: c.name)
     def test_exhaustion_returns_all_then_none(self, algo_cls):
         db = sources.bluenile(n=35, k=10)
         got, truth, _, session, algo, rk = _run(db, algo_cls, "carat", h=100)
@@ -131,7 +137,7 @@ class TestCostShape:
         before = bluenile.stats.n_queries
         for _ in range(10):
             algo.get_next(session, rk)
-        assert bluenile.stats.n_queries == before  # all from the frontier pool
+        assert bluenile.stats.n_queries == before  # all from the session pool
 
     def test_rerank_index_amortises_across_sessions(self, bluenile):
         """Fresh session, same shared DenseIndex: the dense region is free."""
@@ -212,47 +218,3 @@ class TestValidation:
         assert algo.get_next(s, rk) is None
         assert db.stats.n_queries == before
 
-
-def _filtered_min_below_frontier(session, ranking, ctx):
-    """Reference: the undelivered minimum over the pool rows at or below the
-    frontier that match the filter."""
-    if not ctx.started:
-        return None
-    amap = ranking.attr_map(ranking.attrs[0])
-    rows = [
-        r
-        for r in session.pool.values()
-        if amap.to_unit(r[amap.attr]) <= ctx.frontier + 1e-12
-        and session.filter_spec.matches(r)
-        and not session.is_delivered(r["tid"])
-    ]
-    return min(rows, key=ranking.key, default=None)
-
-
-class TestPoolCandidateProperty:
-    @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(
-        values=st.lists(st.floats(0.3, 7.1), min_size=1, max_size=4),
-        picks=st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.booleans()), max_size=25),
-        descending=st.booleans(),
-        frontier=st.one_of(st.floats(0.0, 1.0), st.integers(0, 3)),
-    )
-    def test_heap_top_equals_filtered_min(self, values, picks, descending, frontier):
-        """Random pools with duplicate values, some rows delivered and some
-        outside the filter; frontiers anywhere, or exactly on a row's value."""
-        rk = one_d("x", (0.3, 7.1), descending=descending)
-        amap = rk.attr_map("x")
-        s = Session(QuerySpec({"y": Range(None, 0.5)}))
-        rows = [
-            {"tid": tid, "x": values[i % len(values)], "y": float(out)}
-            for tid, (i, out, _) in enumerate(picks, 1)
-        ]
-        s.absorb(rows)
-        for r, (_, _, delivered) in zip(rows, picks):
-            if delivered:
-                s.deliver(r)
-        if isinstance(frontier, int):
-            frontier = amap.to_unit(values[frontier % len(values)])
-        ctx = Context1D(frontier=frontier, started=True)
-        algo = OneDBaseline(None, {})
-        assert algo._pool_candidate(s, rk, ctx) is _filtered_min_below_frontier(s, rk, ctx)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.geometry import Box
-from repro.core.session import Context1D, ContextMD, Session
+from repro.core.session import ContextMD, Session
 from repro.webdb.predicates import QuerySpec, Range
 from repro.webdb.ranking import LinearRanking, one_d
 
@@ -92,15 +92,15 @@ class TestPoolProperty:
 class TestContexts:
     def test_ctx_1d_identity_per_signature(self):
         s = Session()
-        c1 = s.ctx("1d", RK, Context1D)
-        c1.frontier = 0.5
-        assert s.ctx("1d", one_d("x", (0.0, 10.0)), Context1D).frontier == 0.5  # same signature
-        assert s.ctx("1d", one_d("x", (0.0, 10.0), descending=True), Context1D).frontier == 0.0
-        assert s.ctx("md", RK, ContextMD) is not c1  # kinds never share a slot
+        c1 = s.ctx("md", RK, ContextMD)
+        c1.add(Box.unit(["x"]))
+        assert s.ctx("md", one_d("x", (0.0, 10.0)), ContextMD) is c1  # same signature
+        assert s.ctx("md", one_d("x", (0.0, 10.0), descending=True), ContextMD).certified == []
+        assert s.ctx("ta", RK, list) == []  # kinds never share a slot
 
     def test_ctx_1d_defaults(self):
-        c = Session().ctx("1d", RK, Context1D)
-        assert c.frontier == 0.0 and c.started is False
+        c = Session().ctx("md", RK, ContextMD)
+        assert c.certified == [] and not c.is_certified(Box.unit(["x"]))
 
     def test_ctx_md_certified(self):
         s = Session()
@@ -114,6 +114,16 @@ class TestContexts:
         ctx.add(big)  # subsumes small
         assert ctx.certified == [big]
         assert ctx.is_certified(small)
+
+    def test_ctx_md_trim(self):
+        ctx = ContextMD()
+        box = Box.unit(["a", "b"])
+        ctx.add(Box(("a", "b"), (Range(0.0, 0.3), Range(0.0, 0.5))))
+        assert ctx.trim(box) == box  # holds a's low end, but only half of b
+        ctx.add(Box(("a", "b"), (Range(0.0, 0.3), Range(0.0, 1.0))))
+        assert ctx.trim(box) == Box(("a", "b"), (Range(0.3, 1.0, False, True), Range(0.0, 1.0)))
+        ctx.add(Box(("a", "b"), (Range(0.3, 1.0, False, True), Range(0.0, 1.0))))
+        assert ctx.trim(box).is_empty()  # two certified boxes hold all of it
 
     def test_ctx_named_factory_once(self):
         s = Session()
