@@ -8,7 +8,8 @@ fresh one for the indexing variants when none is shared), repeated get-next
 (``get_top_h``), the one place that answers a spec (``_recall`` what the
 dense index or the session already knows, else ``_send`` one batch to the
 site), keeping a crawled region (``_store_crawl``) and the query budget
-(:class:`~repro.webdb.interface.BudgetExceeded`).
+``max_queries``, which the search loops enforce by running each get-next in
+a ``WebDB.counting(max_queries)`` block (crawls included).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from abc import ABC, abstractmethod
 from typing import Mapping, Optional, Sequence
 
 from ..webdb.crawler import CrawlResult
-from ..webdb.interface import BudgetExceeded, QueryResult, QueryStats, Row, WebDB
+from ..webdb.interface import QueryResult, Row, WebDB
 from ..webdb.predicates import QuerySpec
 from ..webdb.ranking import LinearRanking
 from .dense_index import DenseIndex
@@ -36,8 +37,6 @@ class GetNext(ABC):
     #: whether crawled regions go into the shared dense index, so other
     #: sessions get them for free (RERANK, MD-TA); otherwise they re-pay them
     index_crawls = False
-    #: site queries one get-next may spend (None: unlimited)
-    max_queries: Optional[int] = None
 
     def __init__(
         self,
@@ -45,6 +44,7 @@ class GetNext(ABC):
         bounds: Mapping[str, tuple[float, float]],
         *,
         dense_index: Optional[DenseIndex] = None,
+        max_queries: Optional[int] = None,
     ):
         self.db = db
         #: attribute domains used by the crawler for splitting (discovered
@@ -53,6 +53,9 @@ class GetNext(ABC):
         if dense_index is None and self.index_crawls:
             dense_index = DenseIndex(db.name)
         self.dense_index = dense_index
+        #: site queries one get-next may send (None: unlimited); a query
+        #: that would pass it raises ``BudgetExceeded`` instead of going out
+        self.max_queries = max_queries
 
     @abstractmethod
     def get_next(self, session: Session, ranking: LinearRanking) -> Optional[Row]:
@@ -92,8 +95,3 @@ class GetNext(ABC):
         session.absorb(result.rows.values())
         if self.index_crawls:
             self.dense_index.add(spec, result.rows)
-
-    def _check_budget(self, cost: QueryStats, best: Optional[Row]) -> None:
-        """Raise once this get-next's ``cost`` exceeds ``max_queries``."""
-        if self.max_queries is not None and cost.n_queries > self.max_queries:
-            raise BudgetExceeded(cost.n_queries, best)

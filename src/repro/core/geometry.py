@@ -30,10 +30,6 @@ class Box:
         """The full unit cube over ``dims``."""
         return Box(tuple(dims), tuple(Range(0.0, 1.0) for _ in dims))
 
-    def range_of(self, dim: str) -> Range:
-        """Unit interval of one dimension."""
-        return self.ranges[self.dims.index(dim)]
-
     def with_range(self, i: int, r: Range) -> "Box":
         """This box with dimension ``i``'s interval replaced by ``r``."""
         return Box(self.dims, self.ranges[:i] + (r,) + self.ranges[i + 1:])

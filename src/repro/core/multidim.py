@@ -29,10 +29,10 @@ tuple in the user's ranking. With d=1 the same engine is
 """
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Optional
 
 from ..webdb.crawler import crawl
-from ..webdb.interface import Row, WebDB
+from ..webdb.interface import Row
 from ..webdb.ranking import LinearRanking
 from .dense_index import DenseIndex
 from .engine import GetNext
@@ -52,17 +52,6 @@ class MDAlgorithm(GetNext):
     #: sometimes, increase the number of queries issued to the web database")
     speculate = False
 
-    def __init__(
-        self,
-        db: WebDB,
-        bounds: Mapping[str, tuple[float, float]],
-        *,
-        dense_index: Optional[DenseIndex] = None,
-        max_queries: Optional[int] = None,
-    ):
-        super().__init__(db, bounds, dense_index=dense_index)
-        self.max_queries = max_queries
-
     # ----- public primitive ---------------------------------------------
     def get_next(self, session: Session, ranking: LinearRanking) -> Optional[Row]:
         """Deliver the next-best undelivered tuple, or None when exhausted."""
@@ -73,9 +62,8 @@ class MDAlgorithm(GetNext):
         w = {d: ranking.internal_weight(d) for d in ranking.attrs}
         best = session.best_undelivered(ranking)
         queue: list[Box] = [Box.unit(ranking.attrs)]
-        with self.db.counting() as cost:
+        with self.db.counting(self.max_queries):
             while queue:
-                self._check_budget(cost, best)
                 best_s = None if best is None else ranking.internal_score(best)
                 live = []
                 for box in queue:

@@ -51,8 +51,7 @@ class MDTA(GetNext):
         dense_index: Optional[DenseIndex] = None,
         max_queries: Optional[int] = None,
     ):
-        super().__init__(db, bounds, dense_index=dense_index)
-        self.max_queries = max_queries
+        super().__init__(db, bounds, dense_index=dense_index, max_queries=max_queries)
         self._engine = OneDRerank(db, bounds, dense_index=self.dense_index)
 
     def get_next(self, session: Session, ranking: LinearRanking) -> Optional[Row]:
@@ -67,7 +66,7 @@ class MDTA(GetNext):
             )
             for a in ranking.attrs
         ])
-        with self.db.counting() as cost:
+        with self.db.counting(self.max_queries):
             while True:
                 best = session.best_undelivered(ranking)
                 tau = sum(
@@ -79,7 +78,6 @@ class MDTA(GetNext):
                 live = [s for s in streams if not s.exhausted]
                 if not live:
                     return None if best is None else session.deliver(best)
-                self._check_budget(cost, best)
                 # one round of sorted access: advance the laggard stream first
                 stream = min(live, key=lambda s: s.frontier)
                 row = self._engine.get_next(stream.session, stream.ranking)

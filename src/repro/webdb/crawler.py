@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .interface import BudgetExceeded, QueryResult, Row, WebDB
+from .interface import QueryResult, WebDB
 from .predicates import QuerySpec, Range
 
 
@@ -57,8 +57,6 @@ def crawl(
     spec: QuerySpec,
     held: Optional[QueryResult],
     bounds: Mapping[str, tuple[float, float]],
-    *,
-    max_queries: int = 100_000,
 ) -> CrawlResult:
     """Fully enumerate the tuples matching ``spec``.
 
@@ -66,7 +64,8 @@ def crawl(
     it, so the crawl splits it without asking again; None asks. ``bounds``
     supplies attribute domains for unbounded range sides (the service
     learns them via ``discovery``). The result's ``n_queries`` is what this
-    crawl sent. Raises :class:`BudgetExceeded` past ``max_queries``.
+    crawl sent; to bound it, run the crawl inside a ``db.counting()`` block
+    with a budget.
     """
     res = CrawlResult()
     with db.counting() as cost:
@@ -110,8 +109,6 @@ def crawl(
                         "indistinguishable tuples; at most 2k-1 can be enumerated"
                     )
             nxt = [s for s in nxt if not s.is_empty()]
-            if nxt and cost.n_queries > max_queries:
-                raise BudgetExceeded(cost.n_queries)
             answered = list(zip(nxt, db.query_batch(nxt)))
     res.n_queries = cost.n_queries
     return res

@@ -21,6 +21,7 @@ batch genuinely runs concurrently (thread pool over Spark actions).
 
 ``counting()`` decides which queries belong to one request: those the
 calling thread sends inside the block, so concurrent users each see their own.
+It is also the one place a query budget is enforced.
 """
 from __future__ import annotations
 
@@ -44,16 +45,15 @@ SPARK_BATCH_THREADS = 8
 
 
 class BudgetExceeded(RuntimeError):
-    """A search or crawl spent more site queries than its budget.
+    """A query or batch would take a ``counting()`` block past its budget.
 
-    Carries the queries spent and, for a get-next search, the best
-    undelivered tuple known when it stopped (None for a crawl).
+    Raised before anything is sent; ``n_queries`` is what that block had
+    sent, which never exceeds its budget.
     """
 
-    def __init__(self, n_queries: int, best: Optional[Row] = None):
-        super().__init__(f"exceeded query budget after {n_queries} queries")
+    def __init__(self, n_queries: int):
+        super().__init__(f"query budget reached after {n_queries} queries")
         self.n_queries = n_queries
-        self.best = best
 
 
 @dataclass
@@ -105,24 +105,30 @@ class WebDB(ABC):
 
     # ----- cost accounting ------------------------------------------------
     @contextmanager
-    def counting(self) -> Iterator[QueryStats]:
+    def counting(self, max_queries: Optional[int] = None) -> Iterator[QueryStats]:
         """Count the queries the calling thread sends inside the block.
 
         Yields a fresh :class:`QueryStats`; blocks nest, and each open one
-        is charged. Queries from other threads never reach it.
+        is charged. Queries from other threads never reach it. With
+        ``max_queries``, a query or batch that would take the block past it
+        is not sent: :class:`BudgetExceeded` is raised instead.
         """
         blocks = vars(self._open).setdefault("blocks", [])
         cost = QueryStats()
-        blocks.append(cost)
+        blocks.append((cost, max_queries))
         try:
             yield cost
         finally:
             blocks.pop()  # one thread's blocks close innermost first
 
     def _charge(self, batch_size: int) -> None:
+        blocks = getattr(self._open, "blocks", ())
+        for cost, limit in blocks:
+            if limit is not None and cost.n_queries + batch_size > limit:
+                raise BudgetExceeded(cost.n_queries)
         with self._stats_lock:
             self.stats.charge(batch_size)
-        for cost in getattr(self._open, "blocks", ()):
+        for cost, _ in blocks:
             cost.charge(batch_size)
 
     # ----- the public interface -----------------------------------------

@@ -115,11 +115,6 @@ class Range:
         return m
 
 
-def point(v: float) -> Range:
-    """The degenerate closed interval [v, v]."""
-    return Range(v, v, True, True)
-
-
 @dataclass(frozen=True)
 class QuerySpec:
     """One search-form submission: a conjunction of ranges and IN lists.

@@ -5,7 +5,7 @@ import pytest
 from repro.webdb import sources
 from repro.webdb.crawler import CrawlError, crawl
 from repro.webdb.interface import BudgetExceeded, LocalWebDB
-from repro.webdb.predicates import QuerySpec, Range, point
+from repro.webdb.predicates import QuerySpec, Range
 from repro.webdb.ranking import SystemRanking
 
 
@@ -26,7 +26,7 @@ class TestCompleteness:
 
     def test_crawls_dense_point_region(self, db, bounds):
         """The paper's worst case: all tuples with lwr == 1 (~20% of the db)."""
-        spec = QuerySpec({"lwr": point(1.0)})
+        spec = QuerySpec({"lwr": Range(1.0, 1.0)})
         res = crawl(db, spec, None, bounds)
         want = set(db.pdf.loc[db.pdf["lwr"] == 1.0, "tid"])
         assert set(res.rows) == want
@@ -45,7 +45,8 @@ class TestCompleteness:
 
     def test_underflow_region_single_query(self, db, bounds):
         row = db.pdf.iloc[0]
-        spec = QuerySpec({"price": point(float(row["price"])), "carat": point(float(row["carat"]))})
+        price, carat = float(row["price"]), float(row["carat"])
+        spec = QuerySpec({"price": Range(price, price), "carat": Range(carat, carat)})
         res = crawl(db, spec, None, bounds)
         assert res.n_queries == 1
         assert row["tid"] in res.rows
@@ -66,7 +67,7 @@ class TestCostAccounting:
     def test_held_answer_is_not_asked_again(self, db, bounds):
         """A crawl from the answer its caller holds sends one query fewer
         than a crawl from scratch, and enumerates the same tuples."""
-        spec = QuerySpec({"lwr": point(1.0)})
+        spec = QuerySpec({"lwr": Range(1.0, 1.0)})
         fresh = crawl(db, spec, None, bounds)
         held = db.query(spec)
         assert held[1]
@@ -75,8 +76,8 @@ class TestCostAccounting:
         assert res.n_queries == fresh.n_queries - 1
 
     def test_budget_enforced(self, db, bounds):
-        with pytest.raises(BudgetExceeded):
-            crawl(db, QuerySpec(), None, bounds, max_queries=3)
+        with pytest.raises(BudgetExceeded), db.counting(max_queries=3):
+            crawl(db, QuerySpec(), None, bounds)
 
 
 class TestDegenerateRegions:
@@ -101,13 +102,13 @@ class TestDegenerateRegions:
         """< 2k tuples indistinguishable on every facet: the asc+desc peel
         recovers all of them."""
         db = self._identical_db(15, k=10)
-        res = crawl(db, QuerySpec({"x": point(5.0)}), None, {"x": (5.0, 5.0)})
+        res = crawl(db, QuerySpec({"x": Range(5.0, 5.0)}), None, {"x": (5.0, 5.0)})
         assert set(res.rows) == set(range(1, 16))
 
     def test_peel_recovers_2k_minus_1(self):
         """2k-1 identical tuples: the asc and desc windows share one tuple."""
         db = self._identical_db(19, k=10)
-        res = crawl(db, QuerySpec({"x": point(5.0)}), None, {"x": (5.0, 5.0)})
+        res = crawl(db, QuerySpec({"x": Range(5.0, 5.0)}), None, {"x": (5.0, 5.0)})
         assert set(res.rows) == set(range(1, 20))
 
     def test_peel_raises_at_exactly_2k(self):
@@ -115,14 +116,14 @@ class TestDegenerateRegions:
         cannot prove there is no tuple between them."""
         db = self._identical_db(20, k=10)
         with pytest.raises(CrawlError, match="at least 2k=20 indistinguishable"):
-            crawl(db, QuerySpec({"x": point(5.0)}), None, {"x": (5.0, 5.0)})
+            crawl(db, QuerySpec({"x": Range(5.0, 5.0)}), None, {"x": (5.0, 5.0)})
 
     def test_unreachable_region_raises(self):
         """>= 2k indistinguishable tuples cannot be enumerated through the
         interface — the crawler must say so rather than silently miss rows."""
         db = self._identical_db(25, k=10)
         with pytest.raises(CrawlError):
-            crawl(db, QuerySpec({"x": point(5.0)}), None, {"x": (5.0, 5.0)})
+            crawl(db, QuerySpec({"x": Range(5.0, 5.0)}), None, {"x": (5.0, 5.0)})
 
     def test_cat_split_rescues_point_region(self):
         """Tuples identical numerically but distinguishable by a facet."""
@@ -137,13 +138,13 @@ class TestDegenerateRegions:
             pdf, name="dup", k=10, system_ranking=SystemRanking("x"),
             numeric_attrs=["x"], cat_domains={"c": ["a", "b"]},
         )
-        spec = QuerySpec({"x": point(5.0)}, {"c": frozenset({"a", "b"})})
+        spec = QuerySpec({"x": Range(5.0, 5.0)}, {"c": frozenset({"a", "b"})})
         res = crawl(db, spec, None, {"x": (5.0, 5.0)})
         assert set(res.rows) == set(range(1, 31))
 
     def test_lwr_point_via_other_attr_splits(self, db, bounds):
         """Dense lwr==1 region splits on price/carat — no peel needed."""
-        spec = QuerySpec({"lwr": point(1.0), "price": Range(None, 10000)})
+        spec = QuerySpec({"lwr": Range(1.0, 1.0), "price": Range(None, 10000)})
         res = crawl(db, spec, None, bounds)
         m = (db.pdf["lwr"] == 1.0) & (db.pdf["price"] <= 10000)
         assert set(res.rows) == set(db.pdf.loc[m, "tid"])

@@ -3,7 +3,7 @@ import pytest
 
 from repro.webdb import sources
 from repro.webdb.crawler import crawl
-from repro.webdb.predicates import QuerySpec, Range, point
+from repro.webdb.predicates import QuerySpec, Range
 from repro.core.dense_index import DenseIndex
 
 
@@ -56,7 +56,7 @@ class TestLookup:
 
     def test_n_rows(self, db, bounds):
         idx = DenseIndex("bluenile")
-        spec, rows = _crawled_entry(db, bounds, QuerySpec({"lwr": point(1.0)}))
+        spec, rows = _crawled_entry(db, bounds, QuerySpec({"lwr": Range(1.0, 1.0)}))
         idx.add(spec, rows)
         assert idx.n_rows == len(rows)
 
@@ -65,7 +65,7 @@ class TestPersistence:
     def test_save_load_roundtrip(self, db, bounds, spark, tmp_path):
         idx = DenseIndex("bluenile")
         for spec in [
-            QuerySpec({"lwr": point(1.0)}),
+            QuerySpec({"lwr": Range(1.0, 1.0)}),
             QuerySpec({"price": Range(1000, 3000)}, {"shape": frozenset({"Round"})}),
         ]:
             s, rows = _crawled_entry(db, bounds, spec)

@@ -67,8 +67,8 @@ class TestContourClip:
         b = Box.unit(["a", "b"])
         clipped = b.clip_by_contour(RK2, 0.3)
         # dim a capped at 0.3 (with b at its lo corner 0), dim b at 0.6
-        assert clipped.range_of("a").hi == pytest.approx(0.3)
-        assert clipped.range_of("b").hi == pytest.approx(0.6)
+        assert clipped.ranges[0].hi == pytest.approx(0.3)
+        assert clipped.ranges[1].hi == pytest.approx(0.6)
 
     def test_clip_at_a_tuple_keeps_its_raw_value(self):
         """A cap at a tuple's own unit value still admits the tuple's raw
@@ -100,8 +100,8 @@ class TestContourClip:
         """Flipped axes: clipping operates on |w| in the flipped cube."""
         b = Box.unit(["a", "b"])
         clipped = b.clip_by_contour(RK2_NEG, 0.25)
-        assert clipped.range_of("a").hi == pytest.approx(0.25)
-        assert clipped.range_of("b").hi == pytest.approx(0.5)
+        assert clipped.ranges[0].hi == pytest.approx(0.25)
+        assert clipped.ranges[1].hi == pytest.approx(0.5)
 
 
 class TestToSpec:

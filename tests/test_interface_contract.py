@@ -10,7 +10,7 @@ import pytest
 
 from repro import synth_data as sd
 from repro.webdb import sources
-from repro.webdb.predicates import QuerySpec, Range, point
+from repro.webdb.predicates import QuerySpec, Range
 
 
 SPECS_BLUENILE = [
@@ -18,7 +18,7 @@ SPECS_BLUENILE = [
     QuerySpec({"price": Range(1000, 8000)}),
     QuerySpec({"price": Range(None, 3000, hi_incl=False)}),
     QuerySpec({"carat": Range(0.5, None, lo_incl=False)}),
-    QuerySpec({"lwr": point(1.0)}),
+    QuerySpec({"lwr": Range(1.0, 1.0)}),
     QuerySpec({"price": Range(2000, 20000), "depth": Range(60, 63)}),
     QuerySpec(cats={"shape": {"Round", "Oval"}}),
     QuerySpec({"carat": Range(0.3, 1.5)}, {"cut": {"Ideal"}, "color": {"D", "E"}}),

@@ -6,7 +6,9 @@ third-party service over a real site must.
 Cost boundary: only ``webdb/interface.py`` touches a database's lifetime
 query counter (``WebDB.stats``); everything else counts a request's site
 queries with a ``WebDB.counting()`` block, which stays right when users
-run concurrently.
+run concurrently. Only ``webdb/interface.py`` raises ``BudgetExceeded``:
+a request's budget is a ``counting(max_queries)`` block, checked where a
+query is charged, so it bounds every query the request sends.
 
 Candidate boundary: only ``core/session.py`` reads a session's pool; the
 algorithms take their next candidate from ``Session.best_undelivered``.
@@ -67,6 +69,19 @@ def test_stats_read_only_in_interface():
         if isinstance(node, ast.Attribute) and node.attr == "stats"
     ]
     assert not readers, f"read WebDB.stats; use WebDB.counting(): {readers}"
+
+
+def test_budget_raised_only_in_interface():
+    interface = SRC / "webdb" / "interface.py"
+    raisers = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path != interface
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and "BudgetExceeded" in ast.unparse(node.exc)
+    ]
+    assert not raisers, f"raise BudgetExceeded; open WebDB.counting(max_queries): {raisers}"
 
 
 def test_pool_read_only_in_session():

@@ -109,7 +109,7 @@ class TestBehaviour:
     def test_budget_exception_carries_progress(self, bluenile):
         with pytest.raises(BudgetExceeded) as ei:
             _run(bluenile, MDBinary, {"price": -1.0, "carat": -1.0}, h=5, max_queries=3)
-        assert ei.value.n_queries > 3
+        assert 0 < ei.value.n_queries <= 3
 
     def test_certified_boxes_accelerate_next_page(self, bluenile):
         """Second get-next re-walks the box tree but skips certified leaves,

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.synth_data import diamonds_pdf
-from repro.webdb.predicates import QuerySpec, Range, point
+from repro.webdb.predicates import QuerySpec, Range
 
 
 # ---------------------------------------------------------------- Range ----
@@ -19,7 +19,7 @@ class TestRangeEmptiness:
         assert Range(2, 1).is_empty()
 
     def test_point_closed_not_empty(self):
-        assert not point(3.0).is_empty()
+        assert not Range(3.0, 3.0).is_empty()
 
     def test_point_half_open_empty(self):
         assert Range(3, 3, True, False).is_empty()
@@ -112,7 +112,7 @@ class TestRangeRendering:
             Range(None, 2, hi_incl=False),
             Range(1, None, lo_incl=False),
             Range(),
-            point(1.5),
+            Range(1.5, 1.5),
         ],
     )
     def test_sql_matches_mask(self, r):
@@ -144,7 +144,7 @@ class TestQuerySpec:
 
     def test_sql_matches_mask_on_data(self, dpdf):
         spec = QuerySpec(
-            {"price": Range(500, 20000, False, True), "lwr": point(1.0)},
+            {"price": Range(500, 20000, False, True), "lwr": Range(1.0, 1.0)},
             {"cut": {"Ideal", "Good"}},
         )
         con = duckdb.connect()
