@@ -10,7 +10,6 @@ web-database query executes as a Catalyst plan.
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 import pandas as pd
 

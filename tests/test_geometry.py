@@ -1,11 +1,10 @@
 """Tests for unit-space boxes and contour clipping."""
-import itertools
 
 import numpy as np
 import pytest
 
 from repro.core.geometry import Box
-from repro.webdb.predicates import QuerySpec, Range
+from repro.webdb.predicates import Range
 from repro.webdb.ranking import LinearRanking
 
 RK2 = LinearRanking({"a": 1.0, "b": 0.5}, {"a": (0, 1), "b": (0, 1)})

@@ -7,7 +7,7 @@ import pytest
 
 from repro.webdb.interface import LocalWebDB, QueryStats
 from repro.webdb.predicates import QuerySpec, Range
-from repro.webdb.ranking import SystemRanking, one_d
+from repro.webdb.ranking import SystemRanking
 from repro.webdb import sources
 
 

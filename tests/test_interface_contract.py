@@ -1,9 +1,9 @@
 """Contract tests: SparkWebDB == LocalWebDB == DuckDB on identical queries.
 
 The reranking algorithms only see the interface; these tests pin down that
-the Spark-backed database (Catalyst filter + sort + limit) and the pandas
-mirror implement *identical* top-k semantics, cross-checked against DuckDB
-executing the same SQL.
+the Spark-backed database (one windowed top-k statement per batch) and the
+pandas mirror implement *identical* top-k semantics, cross-checked against
+DuckDB executing the same SQL.
 """
 import duckdb
 import pytest
@@ -95,14 +95,47 @@ def test_order_override_contract(dbs, order):
     assert s_ovf == l_ovf
 
 
+#: one batch of every kind of spec: ranges, IN lists, an empty result, the
+#: same spec twice, and a point holding more than k tied tuples
+BATCH_BLUENILE = [
+    QuerySpec({"price": Range(1000, 8000)}),
+    QuerySpec(cats={"shape": {"Round", "Oval"}}),
+    QuerySpec({"price": Range(10, 11)}),
+    QuerySpec({"carat": Range(0.3, 1.5)}, {"cut": {"Ideal"}, "color": {"D", "E"}}),
+    QuerySpec({"lwr": Range(1.0, 1.0)}),
+    QuerySpec({"price": Range(1000, 8000)}),
+    QuerySpec({"price": Range(2000, 20000), "depth": Range(60, 63)}, {"clarity": {"VS1"}}),
+]
+
+
 def test_spark_batch_matches_sequential(dbs):
+    """One batch answers each spec as its own query() and pandas do, row for row."""
+    sdb, ldb, _ = dbs["bluenile"]
+    for order in (None, ("price", "asc"), ("carat", "desc")):
+        batched = sdb.query_batch(BATCH_BLUENILE, order)
+        single = [sdb.query(s, order) for s in BATCH_BLUENILE]
+        local = ldb.query_batch(BATCH_BLUENILE, order)
+        assert batched == single == local, order
+    assert batched[2] == ([], False)
+    assert batched[0] == batched[5]
+    assert batched[4][1]
+
+
+def test_spark_batch_is_one_job_in_its_own_session(spark, dbs):
     sdb, _, _ = dbs["bluenile"]
-    specs = SPECS_BLUENILE[:6]
-    batched = sdb.query_batch(specs)
-    single = [sdb._execute(s, None) for s in specs]
-    for (br, bo), (sr, so) in zip(batched, single):
-        assert [r["tid"] for r in br] == [r["tid"] for r in sr]
-        assert bo == so
+    keys = ("spark.sql.adaptive.enabled", "spark.sql.codegen.wholeStage")
+    before = {key: spark.conf.get(key) for key in keys}
+    sources.zillow(spark, n=100, k=5)
+    assert {key: spark.conf.get(key) for key in keys} == before
+
+    tracker = spark.sparkContext.statusTracker()
+
+    def last_job():
+        return max(tracker.getJobIdsForGroup(None) or [-1])
+
+    j0 = last_job()
+    sdb.query_batch(BATCH_BLUENILE[1:])
+    assert last_job() == j0 + 1
 
 
 def test_spark_true_metadata_matches_local(dbs):

@@ -170,3 +170,31 @@ class TestCachePersistence:
         service.submit(UserQuery("bluenile", QuerySpec(), rk, 5))
         changed = service.boot_verify()
         assert changed["bluenile"] == 0 and changed["zillow"] == 0
+
+
+class TestSparkBackend:
+    @pytest.mark.parametrize("source, ranking", [
+        ("bluenile", lambda svc: svc.ranking_1d("bluenile", "lwr")),
+        ("zillow", lambda svc: svc.ranking_md("zillow", {"price": 1.0, "sqft": -0.3})),
+    ], ids=["1d-lwr", "md-price-0.3sqft"])
+    def test_pages_match_pandas(self, spark, source, ranking):
+        """One search on the Spark and on the pandas site: every page has the
+        same tids and the same site queries, and the pages are exact."""
+        local = sources.make_source(source, n=400, k=10)
+        bounds = {a: local.true_domain(a) for a in local.numeric_attrs}
+
+        def three_pages(db):
+            svc = QR2Service()
+            svc.register_source(db, bounds=bounds)
+            sid, rows, stats = svc.submit(UserQuery(source, QuerySpec(), ranking(svc), 10))
+            pages = [(_ids(rows), stats.n_queries)]
+            for _ in range(2):
+                rows, stats = svc.get_next_page(sid)
+                pages.append((_ids(rows), stats.n_queries))
+            return pages, svc
+
+        want, svc = three_pages(local)
+        got, _ = three_pages(sources.make_source(source, spark, n=400, k=10))
+        assert got == want
+        truth = _ids(ground_truth_topk(local, QuerySpec(), ranking(svc), 30))
+        assert [t for ids, _ in want for t in ids] == truth

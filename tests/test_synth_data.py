@@ -1,6 +1,4 @@
 """Tests for the synthetic Blue Nile / Zillow generators."""
-import numpy as np
-import pytest
 
 from repro import synth_data as sd
 
