@@ -85,6 +85,8 @@ class GetNext(ABC):
 
     def _send(self, session: Session, specs: Sequence[QuerySpec]) -> list[QueryResult]:
         """Ask the site for ``specs`` in one parallel batch; cache every response."""
+        if not specs:
+            return []
         results = self.db.query_batch(specs)
         for spec, result in zip(specs, results):
             session.query_cache[spec.to_sql()] = result

@@ -26,6 +26,25 @@ instead, since a tuple found there may prune it. A box is retired when it
 When the queue drains, the best undelivered pool row is provably the next
 tuple in the user's ranking. With d=1 the same engine is
 1D-BASELINE/BINARY/RERANK (:mod:`~repro.core.onedim`).
+
+A get-next continues where the last completed one stopped. The boxes that
+call pruned are its *frontier*: with the certified boxes they cover the
+space not yet ruled out, so the next call starts from them
+(``ContextMD.frontier``) instead of recalling and re-splitting every box
+above them from the unit cube. Each queued box carries the round in which a
+search from the unit cube reaches it; a box whose round is later than the
+current one is *held* until the search gets there (with no box live, the
+search jumps to the lowest held round), so a tuple found in an earlier round
+can still prune it first. In the wait rule a held box stands in for the
+ancestors a restart would have live: when a held box has the lowest maximum
+score, every live box wholly behind it waits, ``first`` included. The
+frontier is committed only when a get-next completes; one refused by its
+budget leaves the previous frontier, which still covers the unsearched space.
+The resumed search usually sends what a restart sends, call for call, but
+that is measured, not proven: on some tie-heavy MD sites it sends a few
+queries more or fewer. BASELINE restarts from the unit cube on every call:
+its narrowing drops the region beyond the best tuple of the moment, so the
+boxes it prunes do not cover what is left.
 """
 from __future__ import annotations
 
@@ -51,6 +70,9 @@ class MDAlgorithm(GetNext):
     #: speculatively in the same parallel batch (section II-B: "this may,
     #: sometimes, increase the number of queries issued to the web database")
     speculate = False
+    #: continue each get-next from the boxes the last one pruned
+    #: (``ContextMD.frontier``) instead of from the unit box
+    resume = True
 
     # ----- public primitive ---------------------------------------------
     def get_next(self, session: Session, ranking: LinearRanking) -> Optional[Row]:
@@ -61,25 +83,44 @@ class MDAlgorithm(GetNext):
         ctx = session.ctx("md", ranking, ContextMD)
         w = {d: ranking.internal_weight(d) for d in ranking.attrs}
         best = session.best_undelivered(ranking)
-        queue: list[Box] = [Box.unit(ranking.attrs)]
+        # (box, round it is reached in): the last get-next's frontier, or the
+        # unit box when there is none or this variant restarts
+        if self.resume and ctx.frontier is not None:
+            queue = ctx.frontier
+        else:
+            queue = [(Box.unit(ranking.attrs), 0)]
+        pruned = []
+        rnd = 0
         with self.db.counting(self.max_queries):
             while queue:
                 best_s = None if best is None else ranking.internal_score(best)
-                live = []
-                for box in queue:
-                    if box.is_empty():
-                        continue
-                    if ctx.is_certified(box):
+                live, held = [], []
+                for box, at in queue:
+                    if box.is_empty() or ctx.is_certified(box):
                         continue
                     if best_s is not None and box.min_score(w) > best_s + 1e-12:
-                        continue  # rank-contour prune
-                    live.append(box)
+                        pruned.append((box, at))  # rank-contour prune
+                    elif at > rnd:
+                        held.append((box, at))  # a restart reaches it later
+                    else:
+                        live.append(box)
                 if not live:
-                    break
+                    if not held:
+                        break
+                    rnd = min(at for _, at in held)
+                    queue = held
+                    continue
                 # a box wholly behind the lowest-ceiling box waits a round, so a
-                # tuple found there can prune it before it is queried
+                # tuple found there can prune it before it is queried; a held
+                # box stands in for its ancestors, which a restart would have
+                # live here, so when it has the lowest ceiling every box waits
                 first = min(live, key=lambda b: b.max_score(w))
-                cap = first.max_score(w) - 1e-12
+                cap = first.max_score(w)
+                if held:
+                    lowest = min(b.max_score(w) for b, _ in held)
+                    if lowest <= cap:
+                        first, cap = None, lowest
+                cap -= 1e-12
                 waiting = [b for b in live if b is not first and b.min_score(w) >= cap]
                 live = [b for b in live if b is first or b.min_score(w) < cap]
                 # each box's answer is recalled, or sent in this round's one
@@ -95,7 +136,8 @@ class MDAlgorithm(GetNext):
                         if not child.is_empty() and self._recall(session, cspec) is None:
                             misses.append(cspec)
                 sent = iter(self._send(session, misses))
-                queue = waiting
+                rnd += 1
+                queue = held + [(box, rnd) for box in waiting]
                 for box, spec, answer in zip(live, specs, answers):
                     rows, overflow = answer or next(sent)
                     session.absorb(rows)
@@ -108,8 +150,10 @@ class MDAlgorithm(GetNext):
                         self._store_crawl(session, spec, crawled)
                         ctx.add(box)
                     else:
-                        queue.extend(self._narrow(box, ranking, session))
+                        queue.extend((c, rnd) for c in self._narrow(box, ranking, session))
                 best = session.best_undelivered(ranking)
+        if self.resume:
+            ctx.frontier = pruned
         if best is None:
             return None
         return session.deliver(best)
@@ -124,6 +168,9 @@ class MDBaseline(MDAlgorithm):
     """Broad queries narrowed by the best-known rank contour (MD-BASELINE)."""
 
     name = "md-baseline"
+    #: ``_narrow`` clips by the best tuple of the moment and drops the region
+    #: beyond it, so the boxes a get-next prunes do not cover what is left
+    resume = False
 
     def _narrow(self, box, ranking, session):
         # what earlier calls certified is in the pool; asking for it again

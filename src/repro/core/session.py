@@ -2,8 +2,9 @@
 
 A session remembers every tuple fetched from the web database (the pool),
 which tuples were already delivered to the user, and per-ranking search
-progress — the box engine's certified boxes, MD-TA's streams — so that
-subsequent get-next calls reuse earlier work instead of re-querying.
+progress — the box engine's certified boxes and search frontier, MD-TA's
+streams — so that subsequent get-next calls reuse earlier work instead of
+re-querying or re-walking it.
 """
 from __future__ import annotations
 
@@ -20,9 +21,20 @@ from .geometry import Box
 @dataclass
 class ContextMD:
     """Box-engine search progress (every 1-D and MD algorithm but MD-TA):
-    boxes proven fully enumerated in earlier calls."""
+    boxes proven fully enumerated in earlier calls, and the frontier where
+    the next call continues.
+
+    The frontier is the boxes the last completed get-next pruned, each with
+    the round in which a search from the unit box reaches it; the next call
+    holds a box until its round. It is replaced only when a get-next
+    completes, so after ``BudgetExceeded`` the previous one still covers
+    the unsearched space. BASELINE keeps none and restarts every call.
+    """
 
     certified: list = field(default_factory=list)
+    #: the ``(box, round)`` pairs the last completed get-next pruned, where
+    #: the next one continues (None before the first)
+    frontier: Optional[list] = None
 
     def is_certified(self, box: Box) -> bool:
         """Conservative: box contained in a single certified box."""

@@ -59,8 +59,9 @@ def run(spark=None, *, n: int = 2000, page_size: int = 10, k: int = 10, quick: b
 
 def check_shape(df: pd.DataFrame) -> None:
     """Tens of queries for the first page; the next page is comparable work
-    (it certifies a strictly larger score region but reuses the session's
-    certified boxes), not a from-scratch restart of top-20."""
+    (it searches a strictly larger score region, continuing from the boxes
+    the first page pruned and reusing its certified boxes), not a
+    from-scratch search for the top-20."""
     first = int(df[df.page == "initial top-10"].queries.iloc[0])
     nxt = int(df[df.page == "get-next page"].queries.iloc[0])
     assert 5 <= first <= 500, first

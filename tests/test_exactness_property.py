@@ -3,7 +3,9 @@
 Each example builds a small ``LocalWebDB`` with a duplicate-heavy column, a
 random system ranking and k in {1, 2, 3}, then pages a random filter and
 order through one 1-D or MD algorithm until the site is exhausted. Every
-delivered sequence must equal the full-table ground truth, tuple for tuple.
+delivered sequence must equal the full-table ground truth, tuple for tuple,
+and on one axis a search that continues from its frontier must send what a
+search restarted from the unit box sends, call for call.
 """
 from collections import Counter
 
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core.multidim import ALGORITHMS_MD
 from repro.core.onedim import ALGORITHMS_1D
 from repro.core.rerank_op import ground_truth_topk
-from repro.core.session import Session
+from repro.core.session import ContextMD, Session
 from repro.webdb.interface import LocalWebDB
 from repro.webdb.predicates import QuerySpec, Range
 from repro.webdb.ranking import LinearRanking, SystemRanking
@@ -78,6 +80,32 @@ def test_1d_matches_ground_truth(algo_cls, tuples, k, system, spec, w):
     """Ranking on the duplicate-heavy x, ascending or descending."""
     got, truth = _exhaust(algo_cls, _site(tuples, k, system), spec, {"x": w})
     assert got == truth
+
+
+def _calls(algo_cls, db, rk, *, restart):
+    """(tid, site queries) of every get-next until exhaustion; with
+    ``restart`` the search frontier is dropped before each call."""
+    algo, session = algo_cls(db, {a: db.true_domain(a) for a in db.numeric_attrs}), Session()
+    out = []
+    while not out or out[-1][0] is not None:
+        if restart:
+            session.ctx("md", rk, ContextMD).frontier = None
+        with db.counting() as cost:
+            row = algo.get_next(session, rk)
+        out.append((row and row["tid"], cost.n_queries))
+    return out
+
+
+@pytest.mark.parametrize(
+    "algo_cls", [ALGORITHMS_1D["1d-binary"], ALGORITHMS_1D["1d-rerank"]], ids=lambda c: c.name
+)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(tuples=TUPLES, k=st.integers(1, 3), system=SYSTEM_RANKINGS, w=SIGNED)
+def test_1d_resume_sends_what_a_restart_sends(algo_cls, tuples, k, system, w):
+    """Same tuple and same site queries on every call, resumed or restarted."""
+    db = _site(tuples, k, system)
+    rk = LinearRanking({"x": w}, {"x": db.true_domain("x")})
+    assert _calls(algo_cls, db, rk, restart=False) == _calls(algo_cls, db, rk, restart=True)
 
 
 @pytest.mark.parametrize("algo_cls", list(ALGORITHMS_MD.values()), ids=lambda c: c.name)

@@ -9,7 +9,7 @@ from repro.core.multidim import (
     MDRerank,
 )
 from repro.core.rerank_op import ground_truth_topk
-from repro.core.session import Session
+from repro.core.session import ContextMD, Session
 from repro.webdb import sources
 from repro.webdb.interface import BudgetExceeded
 from repro.webdb.predicates import QuerySpec, Range
@@ -112,8 +112,8 @@ class TestBehaviour:
         assert 0 < ei.value.n_queries <= 3
 
     def test_certified_boxes_accelerate_next_page(self, bluenile):
-        """Second get-next re-walks the box tree but skips certified leaves,
-        so it must cost less than the first."""
+        """The second get-next continues from the boxes the first one pruned
+        and re-queries nothing certified, so it costs no more than the first."""
         bounds = _bounds(bluenile)
         w = {"price": 1.0, "carat": 0.4}
         rk = LinearRanking(w, {a: bounds[a] for a in w})
@@ -164,3 +164,76 @@ class TestBehaviour:
         _, _, d_pos, _, _, _ = _run(bluenile, MDBaseline, {"price": 1.0, "carat": 0.3})
         _, _, d_neg, _, _, _ = _run(bluenile, MDBaseline, {"price": -1.0, "carat": -0.3})
         assert d_neg.n_queries > d_pos.n_queries
+
+
+#: T5's 2-D and 3-D functions on Blue Nile, and T6's on Zillow
+RESUMED_SEARCHES = {
+    "t5-2d": ("bluenile", {"price": 1.0, "carat": -0.3}),
+    "t5-3d": ("bluenile", {"price": 1.0, "carat": -0.1, "depth": -0.5}),
+    "t6": ("zillow", {"price": 1.0, "sqft": -0.3}),
+}
+
+
+def _calls(db, algo_cls, rk, h, *, restart):
+    """(tid, site queries) of ``h`` get-nexts on one session; with
+    ``restart`` the search frontier is dropped before every call, so each
+    starts again from the unit box."""
+    algo, session = algo_cls(db, _bounds(db)), Session()
+    out = []
+    for _ in range(h):
+        if restart:
+            session.ctx("md", rk, ContextMD).frontier = None
+        with db.counting() as cost:
+            row = algo.get_next(session, rk)
+        out.append((row["tid"], cost.n_queries))
+    return out
+
+
+class TestResume:
+    @pytest.mark.parametrize("algo_cls", [MDBinary, MDRerank], ids=lambda c: c.name)
+    @pytest.mark.parametrize("search", list(RESUMED_SEARCHES))
+    def test_resume_sends_what_a_restart_sends(self, request, algo_cls, search):
+        """Continuing from the frontier delivers the same tuple and sends
+        the same number of queries, call for call, as a restart."""
+        source, w = RESUMED_SEARCHES[search]
+        db = request.getfixturevalue(source)
+        bounds = _bounds(db)
+        rk = LinearRanking(w, {a: bounds[a] for a in w})
+        resumed = _calls(db, algo_cls, rk, 25, restart=False)
+        assert resumed == _calls(db, algo_cls, rk, 25, restart=True)
+        assert [t for t, _ in resumed] == _ids(ground_truth_topk(db, QuerySpec(), rk, 25))
+
+    def test_baseline_restarts(self, bluenile):
+        """BASELINE's narrowing drops space beyond the best tuple of the
+        moment, so it keeps no frontier and starts from the unit box."""
+        bounds = _bounds(bluenile)
+        w = {"price": 1.0, "carat": 0.3}
+        rk = LinearRanking(w, {a: bounds[a] for a in w})
+        session = Session()
+        MDBaseline(bluenile, bounds).get_top_h(session, rk, 3)
+        assert session.ctx("md", rk, ContextMD).frontier is None
+
+    def test_recalled_rounds_do_not_call_the_site(self, bluenile, monkeypatch):
+        """A get-next whose every box is recalled calls ``query_batch`` zero
+        times, not once per round with nothing to send."""
+        bounds = _bounds(bluenile)
+        w = {"price": 1.0, "carat": -0.3}
+        rk = LinearRanking(w, {a: bounds[a] for a in w})
+        algo = MDBinary(bluenile, bounds)
+        first = Session()
+        algo.get_top_h(first, rk, 5)
+        # a second session that already holds every response the first got
+        # walks the same boxes, all recalled from its cache
+        again = Session()
+        again.query_cache = dict(first.query_cache)
+        calls = []
+        batch = bluenile.query_batch
+
+        def counted(specs, order=None):
+            calls.append(len(specs))
+            return batch(specs, order)
+
+        monkeypatch.setattr(bluenile, "query_batch", counted)
+        got = algo.get_top_h(again, rk, 5)
+        assert _ids(got) == _ids(ground_truth_topk(bluenile, QuerySpec(), rk, 5))
+        assert calls == []
