@@ -1,23 +1,14 @@
-"""Shared entrypoint plumbing for the spark-submit jobs.
-
-Each jobs/table_tN.py regenerates one table from DESIGN.md section 4:
-it builds (or reuses) a SparkSession, runs the harness from
-``repro.experiments``, and prints the markdown table.
-"""
+"""The SparkSession of the spark-submit jobs (``jobs/tables.py``)."""
 from __future__ import annotations
 
-import argparse
-
 from pyspark.sql import SparkSession
-
-from repro.experiments.common import fmt_table
 
 
 def get_spark(app: str) -> SparkSession:
     """SparkSession for standalone job runs (tests use the conftest fixture).
 
-    ``spark-submit`` supplies the master; a plain ``python jobs/table_tN.py``
-    run falls back to local mode.
+    The master is ``SPARK_MASTER`` when set, else local mode; it overrides a
+    ``--master`` given to ``spark-submit``.
     """
     import os
 
@@ -29,20 +20,3 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
-
-
-def main(table_mod, title: str, default_n: int = 3000, **run_kw) -> None:
-    """Run one table harness and print the rows (spark-submit entrypoint)."""
-    ap = argparse.ArgumentParser(description=title)
-    ap.add_argument("--n", type=int, default=default_n, help="hidden-table size")
-    ap.add_argument("--k", type=int, default=25, help="site page size (system top-k)")
-    ap.add_argument("--local", action="store_true", help="pandas backend (no Spark)")
-    args = ap.parse_args()
-    spark = None if args.local else get_spark(title)
-    df = table_mod.run(spark, n=args.n, k=args.k, **run_kw)
-    table_mod.check_shape(df)
-    print(fmt_table(df, title))
-    for claim in table_mod.PAPER_CLAIMS:
-        print(f"paper claim: {claim}")
-    if spark is not None:
-        spark.stop()

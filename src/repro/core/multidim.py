@@ -20,8 +20,8 @@ instead, since a tuple found there may prune it. A box is retired when it
 * otherwise it is narrowed: BASELINE drops the low end that certified boxes
   already hold and clips the rest by the rank contour of the best candidate
   known at that moment (broad narrowed re-query), BINARY midpoint-splits
-  the widest dimension, RERANK additionally crawls boxes denser than
-  threshold ``delta`` into the persistent index.
+  the widest dimension, RERANK additionally crawls overflowing boxes
+  narrower than ``crawl_width`` into the persistent index.
 
 When the queue drains, the best undelivered pool row is provably the next
 tuple in the user's ranking. With d=1 the same engine is
@@ -53,7 +53,6 @@ from typing import Optional
 from ..webdb.crawler import crawl
 from ..webdb.interface import Row
 from ..webdb.ranking import LinearRanking
-from .dense_index import DenseIndex
 from .engine import GetNext
 from .geometry import Box
 from .session import ContextMD, Session
@@ -205,19 +204,8 @@ class MDRerank(MDAlgorithm):
 
     name = "md-rerank"
     index_crawls = True
+    crawl_width = 0.05
     speculate = True
-
-    def __init__(
-        self,
-        db,
-        bounds,
-        *,
-        dense_index: Optional[DenseIndex] = None,
-        delta: float = 0.05,
-        max_queries: Optional[int] = None,
-    ):
-        super().__init__(db, bounds, dense_index=dense_index, max_queries=max_queries)
-        self.crawl_width = delta
 
 
 ALGORITHMS_MD = {

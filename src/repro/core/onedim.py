@@ -18,17 +18,14 @@ the database's top-k interface.
   Dense regions force the halving down to machine resolution before an
   (unindexed) crawl — the pathology the paper describes.
 * RERANK — BINARY plus on-the-fly indexing: an overflowing interval
-  narrower than the dense threshold ``delta`` is crawled once into the
+  narrower than ``crawl_width`` (0.02) is crawled once into the
   shared persistent :class:`~repro.core.dense_index.DenseIndex`; any
   interval covered by the index is answered with zero queries forever after.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 # not used here: perfbench's traced run patches ``onedim.crawl`` by name
 from ..webdb.crawler import crawl  # noqa: F401
-from .dense_index import DenseIndex
 from .multidim import MDAlgorithm, MDBaseline
 
 
@@ -66,25 +63,15 @@ class OneDBinary(MDAlgorithm):
 class OneDRerank(OneDBinary):
     """1D-BINARY plus on-the-fly dense-region indexing (1D-RERANK).
 
-    An overflowing interval narrower than ``delta`` (relative to the unit
-    axis) is crawled once into the shared :class:`DenseIndex`; subsequent
-    queries covered by the index cost nothing — the paper's amortisation.
+    An overflowing interval narrower than ``crawl_width`` (relative to the
+    unit axis) is crawled once into the shared
+    :class:`~repro.core.dense_index.DenseIndex`; subsequent queries covered
+    by the index cost nothing — the paper's amortisation.
     """
 
     name = "1d-rerank"
     index_crawls = True
-
-    def __init__(
-        self,
-        db,
-        bounds,
-        *,
-        dense_index: Optional[DenseIndex] = None,
-        delta: float = 0.02,
-        max_queries: Optional[int] = None,
-    ):
-        super().__init__(db, bounds, dense_index=dense_index, max_queries=max_queries)
-        self.crawl_width = delta
+    crawl_width = 0.02
 
 
 ALGORITHMS_1D = {

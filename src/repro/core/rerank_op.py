@@ -27,7 +27,7 @@ from ..webdb.ranking import LinearRanking
 SCORE_COL = "_qr2_score"
 
 
-def rerank_df(df, ranking: LinearRanking, h: Optional[int] = None, *, id_col: str = "tid"):
+def rerank_df(df, ranking: LinearRanking, h: Optional[int] = None):
     """Re-rank a Spark DataFrame by a linear user function, best first.
 
     Pure Catalyst: the score is one arithmetic expression over raw columns,
@@ -36,16 +36,12 @@ def rerank_df(df, ranking: LinearRanking, h: Optional[int] = None, *, id_col: st
     from pyspark.sql import functions as F
 
     scored = df.withColumn(SCORE_COL, F.expr(ranking.score_sql()))
-    out = scored.orderBy(F.col(SCORE_COL).asc(), F.col(id_col).asc()).drop(SCORE_COL)
+    out = scored.orderBy(F.col(SCORE_COL).asc(), F.col("tid").asc()).drop(SCORE_COL)
     return out.limit(h) if h is not None else out
 
 
 def rerank_with_udf(
-    df,
-    score_fn: Callable[[pd.DataFrame], pd.Series],
-    h: Optional[int] = None,
-    *,
-    id_col: str = "tid",
+    df, score_fn: Callable[[pd.DataFrame], pd.Series], h: Optional[int] = None
 ):
     """Re-rank by an arbitrary Python ranking function (lower = better).
 
@@ -66,7 +62,7 @@ def rerank_with_udf(
 
     out = (
         df.mapInPandas(attach, schema=schema)
-        .orderBy(F.col(SCORE_COL).asc(), F.col(id_col).asc())
+        .orderBy(F.col(SCORE_COL).asc(), F.col("tid").asc())
         .drop(SCORE_COL)
     )
     return out.limit(h) if h is not None else out
@@ -89,5 +85,5 @@ def ground_truth_topk(
     else:  # pragma: no cover - no other backends exist
         raise TypeError(f"unsupported backend {type(db)}")
     rows = pdf.to_dict("records")
-    rows.sort(key=lambda r: ranking.key(r, db.id_col))
+    rows.sort(key=ranking.key)
     return rows[:h] if h is not None else rows

@@ -23,10 +23,6 @@ from .multidim import MDRerank
 from .onedim import OneDRerank
 from .session import Session
 
-#: dense-region width below which the service's 1D- and MD-RERANK crawl an
-#: overflowing region into the shared dense index
-DELTA = 0.05
-
 
 @dataclass
 class PageStats:
@@ -112,7 +108,7 @@ class QR2Service:
     def _algorithm(self, db: WebDB, ranking: LinearRanking):
         """The deployed algorithm: 1D-RERANK for one attribute, else MD-RERANK."""
         algo = OneDRerank if len(ranking.attrs) == 1 else MDRerank
-        return algo(db, self.bounds[db.name], dense_index=self.indexes[db.name], delta=DELTA)
+        return algo(db, self.bounds[db.name], dense_index=self.indexes[db.name])
 
     def submit(self, q: UserQuery) -> tuple[int, list[Row], PageStats]:
         """Process a new user query; returns (session id, first page, stats)."""

@@ -67,8 +67,7 @@ class Session:
     def __init__(self, filter_spec: QuerySpec = QuerySpec()):
         self.filter_spec = filter_spec
         self.pool: dict = {}  # tid -> row, every tuple ever fetched (first copy)
-        self.delivered_ids: list = []  # in delivery order (the served ranking)
-        self._delivered_set: set = set()  # membership mirror of delivered_ids
+        self._delivered: set = set()  # tids already returned to the user
         #: ranking signature -> (ranking, min-heap of (key, row)) over the pool
         #: rows matching ``filter_spec``; each tid is in each heap once, and
         #: delivered entries are popped when they reach the top
@@ -90,14 +89,9 @@ class Session:
                 for ranking, heap in self._heaps.values():
                     heapq.heappush(heap, (ranking.key(r), r))
 
-    def is_delivered(self, tid) -> bool:
-        """Has this tuple already been returned to the user?"""
-        return tid in self._delivered_set
-
     def deliver(self, row: Row) -> Row:
         """Mark a pool tuple as returned to the user (the get-next output)."""
-        self.delivered_ids.append(row["tid"])
-        self._delivered_set.add(row["tid"])
+        self._delivered.add(row["tid"])
         return row
 
     def best_undelivered(self, ranking: LinearRanking) -> Optional[Row]:
@@ -114,7 +108,7 @@ class Session:
             heapq.heapify(heap)
             self._heaps[sig] = (ranking, heap)
         heap = self._heaps[sig][1]
-        while heap and heap[0][1]["tid"] in self._delivered_set:
+        while heap and heap[0][1]["tid"] in self._delivered:
             heapq.heappop(heap)
         return heap[0][1] if heap else None
 

@@ -1,25 +1,18 @@
 """Shared helpers for the table-reproduction harnesses (T1-T6).
 
-Each harness module exposes ``run(spark=None, *, n=..., quick=False) ->
-pandas.DataFrame`` returning the table rows, plus ``PAPER_CLAIMS`` describing
-what the paper reports so EXPERIMENTS.md can diff shapes. ``spark=None``
-runs against the pandas-backed database (same interface contract) — used by
-the fast smoke tests; benchmarks and jobs pass a real SparkSession so every
+Each harness module exposes ``run(spark=None, *, n=..., k=..., ...) ->
+pandas.DataFrame`` returning the table rows, ``check_shape(df)`` asserting
+the paper's qualitative claims on them, and ``PAPER_CLAIMS`` describing what
+the paper reports so EXPERIMENTS.md can diff shapes. ``spark=None`` runs
+against the pandas-backed database (same interface contract), as the smoke
+tests do; ``jobs/tables.py`` passes a real SparkSession so every
 web-database query executes as a Catalyst plan.
 """
 from __future__ import annotations
 
 import time
 
-import pandas as pd
-
-from ..webdb import sources
 from ..webdb.interface import WebDB
-
-
-def make_db(source: str, spark=None, *, n: int, k: int = 10) -> WebDB:
-    """Build a source database (Spark-backed when a session is given)."""
-    return sources.make_source(source, spark, n=n, k=k)
 
 
 def true_bounds(db: WebDB) -> dict:
@@ -42,20 +35,3 @@ class Timer:
 
     def __exit__(self, *exc):
         self.seconds = time.perf_counter() - self.t0
-
-
-def fmt_table(df: pd.DataFrame, title: str) -> str:
-    """Render one experiment table as fixed-width text (tabulate-free)."""
-    return f"### {title}\n\n{df.to_string(index=False)}\n"
-
-
-def save_table(df: pd.DataFrame, name: str, title: str) -> str:
-    """Persist a rendered table under benchmarks/results/ (survives pytest
-    output capture) and return the rendered text."""
-    import pathlib
-
-    text = fmt_table(df, title)
-    out = pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{name}.txt").write_text(text)
-    return text

@@ -17,7 +17,8 @@ from ..core.rerank_op import ground_truth_topk
 from ..core.session import Session
 from ..webdb.predicates import QuerySpec
 from ..webdb.ranking import one_d
-from .common import Timer, make_db, true_bounds
+from ..webdb.sources import make_source
+from .common import Timer, true_bounds
 
 PAPER_CLAIMS = [
     "RERANK's first touch of a dense region is expensive (it crawls and indexes)",
@@ -26,11 +27,9 @@ PAPER_CLAIMS = [
 ]
 
 
-def run(spark=None, *, n: int = 2000, h: int = 10, k: int = 10, n_sessions: int = 6, quick: bool = False) -> pd.DataFrame:
+def run(spark=None, *, n: int = 2000, h: int = 10, k: int = 10, n_sessions: int = 5) -> pd.DataFrame:
     """Cost per fresh session for RERANK (shared index) vs BINARY."""
-    if quick:
-        n_sessions = 3
-    db = make_db("bluenile", spark, n=n, k=k)
+    db = make_source("bluenile", spark, n=n, k=k)
     bounds = true_bounds(db)
     rk = one_d("lwr", bounds["lwr"])
     truth = [r["tid"] for r in ground_truth_topk(db, QuerySpec(), rk, h)]

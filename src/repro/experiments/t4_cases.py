@@ -21,7 +21,8 @@ from ..core.session import Session
 from ..core.ta import MDTA
 from ..webdb.predicates import QuerySpec
 from ..webdb.ranking import LinearRanking
-from .common import Timer, make_db, true_bounds
+from ..webdb.sources import make_source
+from .common import Timer, true_bounds
 
 PAPER_CLAIMS = [
     "price + LWR on Blue Nile crawls the ~20% lwr==1 region before returning",
@@ -35,12 +36,12 @@ CASES = [
 ]
 
 
-def run(spark=None, *, n: int = 2000, h: int = 5, k: int = 10, quick: bool = False) -> pd.DataFrame:
+def run(spark=None, *, n: int = 2000, h: int = 5, k: int = 10) -> pd.DataFrame:
     """Run both cases with MD-TA (whose per-attribute sorted access is the
     paper's dense-crawl mechanism), twice each to show amortisation."""
     rows = []
     for label, source, weights in CASES:
-        db = make_db(source, spark, n=n, k=k)
+        db = make_source(source, spark, n=n, k=k)
         bounds = true_bounds(db)
         rk = LinearRanking(weights, {a: bounds[a] for a in weights})
         truth = [r["tid"] for r in ground_truth_topk(db, QuerySpec(), rk, h)]

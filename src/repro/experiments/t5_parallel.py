@@ -16,7 +16,8 @@ from ..core.rerank_op import ground_truth_topk
 from ..core.session import Session
 from ..webdb.predicates import QuerySpec
 from ..webdb.ranking import LinearRanking
-from .common import Timer, make_db, true_bounds
+from ..webdb.sources import make_source
+from .common import Timer, true_bounds
 
 PAPER_CLAIMS = [
     "2D: 44 of 45 queries issued in parallel (> 97%)",
@@ -29,17 +30,17 @@ FUNCS = [
 ]
 
 
-def run(spark=None, *, n: int = 2000, h: int = 10, k: int = 10, quick: bool = False) -> pd.DataFrame:
+def run(spark=None, *, n: int = 2000, h: int = 10, k: int = 10) -> pd.DataFrame:
     """Fig. 2 as a table: parallelism statistics for 2-D and 3-D searches."""
-    db = make_db("bluenile", spark, n=n, k=k)
+    db = make_source("bluenile", spark, n=n, k=k)
     bounds = true_bounds(db)
     rows = []
     for label, weights in FUNCS:
         rk = LinearRanking(weights, {a: bounds[a] for a in weights})
         algo = MDRerank(db, bounds, max_queries=10000)
         with db.counting() as cost, Timer() as t:
-            got = algo.get_top_h(Session(), rk, h if not quick else 3)
-        truth = ground_truth_topk(db, QuerySpec(), rk, h if not quick else 3)
+            got = algo.get_top_h(Session(), rk, h)
+        truth = ground_truth_topk(db, QuerySpec(), rk, h)
         assert [r["tid"] for r in got] == [r["tid"] for r in truth], label
         rows.append(
             {

@@ -16,7 +16,8 @@ import pandas as pd
 from ..core.rerank_op import ground_truth_topk
 from ..core.service import QR2Service, UserQuery
 from ..webdb.predicates import QuerySpec
-from .common import Timer, make_db, true_bounds
+from ..webdb.sources import make_source
+from .common import true_bounds
 
 PAPER_CLAIMS = [
     "one MD reranking query on Zillow costs tens of queries (paper: 27)",
@@ -24,19 +25,18 @@ PAPER_CLAIMS = [
 ]
 
 WEIGHTS = {"price": 1.0, "sqft": -0.3}
+#: results per page, as the demo shows them
+PAGE_SIZE = 10
 
 
-def run(spark=None, *, n: int = 2000, page_size: int = 10, k: int = 10, quick: bool = False) -> pd.DataFrame:
+def run(spark=None, *, n: int = 2000, k: int = 10) -> pd.DataFrame:
     """Submit the paper's Zillow query through the service facade."""
-    db = make_db("zillow", spark, n=n, k=k)
+    db = make_source("zillow", spark, n=n, k=k)
     svc = QR2Service()
     svc.register_source(db, bounds=true_bounds(db))
     rk = svc.ranking_md("zillow", WEIGHTS)
-    with Timer() as t:
-        sid, page1, stats1 = svc.submit(
-            UserQuery("zillow", QuerySpec(), rk, page_size=page_size)
-        )
-    truth = ground_truth_topk(db, QuerySpec(), rk, page_size)
+    sid, page1, stats1 = svc.submit(UserQuery("zillow", QuerySpec(), rk, page_size=PAGE_SIZE))
+    truth = ground_truth_topk(db, QuerySpec(), rk, PAGE_SIZE)
     assert [r["tid"] for r in page1] == [r["tid"] for r in truth]
     page2, stats2 = svc.get_next_page(sid)
     return pd.DataFrame(

@@ -118,9 +118,9 @@ class LinearRanking:
             for a in self.weights
         )
 
-    def key(self, row: Mapping, id_col: str = "tid") -> tuple:
+    def key(self, row: Mapping) -> tuple:
         """Total-order sort key: (score, tid) — ties broken by tuple id."""
-        return (self.score(row), row[id_col])
+        return (self.score(row), row["tid"])
 
     def score_sql(self) -> str:
         """The user score as a SQL arithmetic expression over raw columns."""

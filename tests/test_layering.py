@@ -19,13 +19,22 @@ spec's answer from ``GetNext._recall`` or ``GetNext._send``.
 
 Loop boundary: in ``core/``, ``get_next`` is defined only by the frame
 (abstract), the box engine and MD-TA; every other algorithm is a
-configuration of the box engine."""
+configuration of the box engine.
+
+Configuration boundary: in ``core/``, an algorithm's settings
+(``crawl_width``, ``index_crawls``, ``speculate``, ``resume``) are class
+attributes, so only the frame and MD-TA, which builds its 1D-RERANK
+streams, define ``__init__``."""
 import ast
+import importlib
 import pathlib
+import pkgutil
 
 import pytest
 
 import repro
+import repro.core
+from repro.core.engine import GetNext
 
 SRC = pathlib.Path(repro.__file__).parent
 SERVICE_SIDE = sorted((SRC / "core").glob("*.py")) + [
@@ -121,3 +130,18 @@ def test_get_next_only_in_search_loops():
         if isinstance(node, ast.FunctionDef) and node.name == "get_next"
     ]
     assert not definers, f"a get-next loop outside the box engine and MD-TA: {definers}"
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_algorithms_configured_by_class_attributes():
+    for mod in pkgutil.iter_modules(repro.core.__path__):
+        importlib.import_module(f"repro.core.{mod.name}")
+    definers = sorted(
+        c.__name__ for c in [GetNext, *_subclasses(GetNext)] if "__init__" in vars(c)
+    )
+    assert definers == ["GetNext", "MDTA"], f"configure by class attribute: {definers}"

@@ -3,8 +3,11 @@ import threading
 
 import pytest
 
+from repro.core.multidim import MDRerank
+from repro.core.onedim import OneDRerank
 from repro.core.rerank_op import ground_truth_topk
 from repro.core.service import QR2Service, UserQuery
+from repro.core.session import Session
 from repro.webdb import sources
 from repro.webdb.predicates import QuerySpec, Range
 
@@ -97,6 +100,37 @@ class TestStatisticsPanel:
         rk = service.ranking_md("bluenile", {"price": 1.0, "depth": -0.5})
         _, _, stats = service.submit(UserQuery("bluenile", QuerySpec(), rk, 5))
         assert stats.n_parallel_queries > 0
+
+
+class TestDeployedAlgorithm:
+    @pytest.mark.parametrize("algo_cls, weights", [
+        (OneDRerank, {"price": 1.0}),
+        (MDRerank, {"price": 1.0, "carat": -0.3}),
+    ], ids=["1d-price-asc", "md-price-0.3carat"])
+    def test_pages_equal_standalone_algorithm(self, algo_cls, weights):
+        """The service runs 1D-/MD-RERANK as the classes define them: three
+        pages equal those of the class built with its defaults on a fresh
+        dense index, in tids and in site queries per page."""
+        db = sources.bluenile(n=600, k=10)
+        bounds = {a: db.true_domain(a) for a in db.numeric_attrs}
+        svc = QR2Service()
+        svc.register_source(db, bounds=bounds)
+        rk = svc.ranking_md("bluenile", weights)
+        sid, rows, stats = svc.submit(UserQuery("bluenile", QuerySpec(), rk, 10))
+        served = [(_ids(rows), stats.n_queries)]
+        for _ in range(2):
+            rows, stats = svc.get_next_page(sid)
+            served.append((_ids(rows), stats.n_queries))
+
+        algo, session = algo_cls(db, bounds), Session()
+        alone = []
+        for _ in range(3):
+            with db.counting() as cost:
+                rows = algo.get_top_h(session, rk, 10)
+            alone.append((_ids(rows), cost.n_queries))
+        assert served == alone
+        truth = _ids(ground_truth_topk(db, QuerySpec(), rk, 30))
+        assert [t for ids, _ in alone for t in ids] == truth
 
 
 class TestConcurrentUsers:

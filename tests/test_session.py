@@ -22,18 +22,25 @@ class TestPool:
         assert len(s.pool) == 2
 
     def test_deliver_tracks_order(self):
+        """Repeated get-next over the pool delivers in ranking order, each
+        tuple once."""
         s = Session()
-        r = _rows(3, 1, 2)
-        for row in sorted(r, key=RK.key):
-            s.deliver(row)
-        assert s.delivered_ids == [2, 3, 1]
+        s.absorb(_rows(3, 1, 2))
+        delivered = []
+        while (best := s.best_undelivered(RK)) is not None:
+            delivered.append(s.deliver(best)["tid"])
+        assert delivered == [2, 3, 1]
 
     def test_undelivered_filter(self):
+        """A delivered tuple is never a candidate again, whatever the ranking."""
         s = Session()
         rows = _rows(1, 2, 3)
         s.absorb(rows)
         s.deliver(rows[0])
-        assert {r["tid"] for r in rows if not s.is_delivered(r["tid"])} == {2, 3}
+        desc = one_d("x", (0.0, 10.0), descending=True)
+        assert s.best_undelivered(RK)["tid"] == 2
+        s.deliver(rows[2])
+        assert s.best_undelivered(desc)["tid"] == 2
 
     def test_best_undelivered_min_key(self):
         s = Session()
@@ -75,6 +82,7 @@ class TestPoolProperty:
         The second ranking's heap is first built after ``late`` steps."""
         s = Session(spec)
         first = {}  # tid -> first absorbed copy, what the pool must keep
+        delivered = set()
         for step, op in enumerate(ops):
             if op[0] == "absorb":
                 _, tid, x, y = op
@@ -82,10 +90,12 @@ class TestPoolProperty:
                 first.setdefault(tid, row)
                 s.absorb([row])
             elif first:
-                s.deliver(first[sorted(first)[op[1] % len(first)]])
+                tid = sorted(first)[op[1] % len(first)]
+                s.deliver(first[tid])
+                delivered.add(tid)
             assert all(s.pool[t] is r for t, r in first.items()) and len(s.pool) == len(first)
             for rk in RANKINGS if step >= late else RANKINGS[:1]:
-                live = [r for r in first.values() if not s.is_delivered(r["tid"]) and spec.matches(r)]
+                live = [r for t, r in first.items() if t not in delivered and spec.matches(r)]
                 expect = min(live, key=rk.key, default=None)
                 assert s.best_undelivered(rk) is expect
 
